@@ -1,5 +1,5 @@
-// Ablation bench for the design choices DESIGN.md calls out beyond the
-// paper's own Table II:
+// Ablation bench for the design choices docs/ARCHITECTURE.md
+// ("Substitutions") calls out beyond the paper's own Table II:
 //
 //  1. stay-at-phase-start (SIV-A): keep the current state at a phase reset
 //     instead of the original algorithm's forced random move.

@@ -2,8 +2,9 @@
 // {Static, OREO, Greedy, Regret} x {Qd-tree, Z-order} x {TPC-H, TPC-DS,
 // Telemetry}. The paper measures wall-clock in a shallow Spark integration;
 // we replay each method's decision trace on the bundled columnar engine
-// (partition block files on local disk; see DESIGN.md substitutions) and,
-// like the paper, estimate total query time from a ~10% query sample.
+// (partition block files on local disk; see "Substitutions" in
+// docs/ARCHITECTURE.md) and, like the paper, estimate total query time from
+// a ~10% query sample.
 //
 // Expected shape (paper SVI-B): OREO beats Static by up to ~32% with
 // Qd-tree layouts; Greedy pays the most reorganization, Regret the least;

@@ -1,12 +1,15 @@
 // Micro-benchmark for PR 4's sharded store:
 //
 //   1. Batched scan throughput: the same query stream executes through a
-//      ShardedOreo at shard counts {1, 2, 4, 8} × facade thread counts
-//      {1, 8}. Each shard keeps its own k-partition layout, so sharding
-//      both refines pruning (N×k total partitions, plus the range router
-//      skipping whole shards) and widens the parallel fan-out (flat
-//      (shard, query) work items). Total matches are checked identical at
-//      every configuration — the sharded determinism contract.
+//      ShardedOreo at shard counts {1, 2, 4, 8} × thread counts {1, 8}.
+//      Each thread count is used twice: as the facade's fan-out across
+//      shards (num_threads) and as each shard store's scan workers
+//      (store_threads), so the sweep measures parallelism at one shard too.
+//      Each shard keeps its own k-partition layout, so sharding both
+//      refines pruning (N×k total partitions, plus the range router
+//      skipping whole shards) and widens the fan-out. Total matches are
+//      checked identical at every configuration — the sharded determinism
+//      contract.
 //
 //   2. Reorganization overlap: every shard submits a full rewrite to a
 //      shared ReorgPool; wall clock with 1 worker (serialized, the PR 3
@@ -129,7 +132,7 @@ ScanRun RunShardedScan(const Table& t, const std::vector<Query>& workload,
   SortLayoutGenerator gen(0);
   core::ShardedOreo sharded(&t, &gen, /*time_column=*/0, opts);
   fs::remove_all(dir);
-  auto attach = sharded.AttachPhysical(dir);
+  auto attach = sharded.AttachPhysical(dir, /*store_threads=*/threads);
   OREO_CHECK(attach.ok()) << attach.ToString();
 
   ScanRun r;

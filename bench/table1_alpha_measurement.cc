@@ -2,13 +2,14 @@
 // versus a full-table-scan query, across partition file sizes.
 //
 // The paper measures Spark + Parquet on local disk and reports alpha in the
-// 60-100x range. Our substrate is the bundled block engine (DESIGN.md):
-// a query = read + decompress + predicate scan of the file; reorganization =
-// read + decompress + re-assign rows to a different layout + re-compress +
-// write the new partition files. Absolute ratios differ from Spark's (no JVM,
-// no shuffle, lighter compression) — the shape to check is that reorg is one
-// to two orders of magnitude more expensive than a scan and that the ratio
-// is roughly flat across file sizes.
+// 60-100x range. Our substrate is the bundled block engine (see
+// "Substitutions" in docs/ARCHITECTURE.md): a query = read + decompress +
+// predicate scan of the file; reorganization = read + decompress + re-assign
+// rows to a different layout + re-compress + write the new partition files.
+// Absolute ratios differ from Spark's (no JVM, no shuffle, lighter
+// compression) — the shape to check is that reorg is one to two orders of
+// magnitude more expensive than a scan and that the ratio is roughly flat
+// across file sizes.
 //
 // Flags: --sizes=16,64,256 (MB; --full adds 1024) --reps=3 --partitions=8
 #include <cstdio>

@@ -1,10 +1,11 @@
-// The unified client handle: one abstract interface over the unsharded
-// `Oreo` engine and the `ShardedOreo` routing facade, so tests, benches,
-// examples and replay drive any (sharding x storage backend) combination
-// through the same code.
+// The client handle: one abstract interface over the `ShardedOreo` facade —
+// the only physical engine, built by MakeEngine for every shard count — so
+// tests, benches, examples, replay and the server drive any (sharding x
+// storage backend) combination through the same code. Each shard's logical
+// decisions live in an `Oreo` core (see core(s)).
 //
 //   core::OreoOptions opts;
-//   opts.num_shards = 4;                       // 1 = the unsharded engine
+//   opts.num_shards = 4;                       // 1 = one shard, whole table
 //   opts.storage_backend = MakeInMemoryBackend();  // null = posix files
 //   auto engine = core::MakeEngine(&table, &generator, time_column, opts);
 //   engine->AttachPhysical(dir);
@@ -78,13 +79,14 @@ class SingleCallerGuard {
 
 }  // namespace internal
 
-/// Per-engine traces plus merged accounting from OreoEngine::RunTrace.
-/// The unsharded engine fills exactly one slot (the whole stream).
+/// Per-shard traces plus merged accounting from OreoEngine::RunTrace: one
+/// slot per shard (a 1-shard engine's slot holds the whole stream).
 struct EngineSimResult {
   /// Per-shard simulation results, in shard-local (unweighted) units —
   /// feed these to the per-shard competitive-ratio machinery.
   std::vector<SimResult> shards;
-  /// The sub-stream each shard observed, in stream order.
+  /// The sub-stream each shard observed, in stream order (filled only with
+  /// record_trace: it exists to feed ReplayTrace).
   std::vector<std::vector<Query>> shard_streams;
   /// Row-weighted merged accounting (1 shard: equals the SimResult totals).
   double query_cost = 0.0;
@@ -115,15 +117,15 @@ struct IngestResult {
 };
 
 /// Online data-layout reorganization behind one handle, logical and
-/// physical. Implemented by `Oreo` (num_shards == 1) and `ShardedOreo`.
+/// physical. Implemented by `ShardedOreo` for every shard count.
 class OreoEngine {
  public:
   virtual ~OreoEngine() = default;
 
   /// Outcome of one streamed query, merged across whatever served it.
   struct StepResult {
-    int state;          ///< serving layout (single-engine step; the sharded
-                        ///< facade reports -1 when several shards served)
+    int state;          ///< serving layout when exactly one shard served
+                        ///< the query, -1 when several did
     bool reorganized;   ///< a reorganization was initiated on this query
     double query_cost;  ///< c(state, q), row-weighted when sharded
   };
@@ -174,7 +176,7 @@ class OreoEngine {
 
   // --- trace / introspection ----------------------------------------------
 
-  /// Number of independent per-shard engines (1 for the unsharded engine).
+  /// Number of independent per-shard engines.
   virtual size_t num_shards() const = 0;
 
   /// The shard's logical core — registry, manager, strategy and trace
@@ -185,8 +187,10 @@ class OreoEngine {
   // --- physical execution -------------------------------------------------
 
   /// Creates the engine's on-disk (or in-memory, per
-  /// OreoOptions::storage_backend) stores under `base_dir`, materializes the
-  /// current layout(s), and starts the background rewrite machinery.
+  /// OreoOptions::storage_backend) stores — one per shard, under
+  /// `base_dir/shard_NNN` — materializes the current layouts, and starts the
+  /// background rewrite pool (`reorg_workers` threads, 0 = one per shard).
+  /// `store_threads` parallelizes scans and rewrites within each shard.
   virtual Status AttachPhysical(const std::string& base_dir,
                                 size_t store_threads = 1,
                                 size_t reorg_workers = 0) = 0;
@@ -208,7 +212,7 @@ class OreoEngine {
   virtual void WaitForReorgs() = 0;
 
   /// Replays a recorded decision trace physically into `dir` (one
-  /// subdirectory per shard when sharded), through the engine's storage
+  /// `shard_NNN` subdirectory per shard), through the engine's storage
   /// backend. `sim` must come from RunTrace(..., record_trace=true) on this
   /// engine. Counters are bit-identical at any `num_threads`/`batch_size`.
   virtual Result<PhysicalReplayResult> ReplayTrace(
@@ -216,9 +220,9 @@ class OreoEngine {
       size_t num_threads = 0, size_t batch_size = 1) const = 0;
 };
 
-/// Builds the engine `options` describe: `num_shards == 1` yields the plain
-/// `Oreo` core, anything larger the `ShardedOreo` routing facade. `table`
-/// and `generator` must outlive the returned engine.
+/// Builds the engine `options` describe: the `ShardedOreo` facade over
+/// `options.num_shards` (>= 1) shards. `table` and `generator` must outlive
+/// the returned engine.
 std::unique_ptr<OreoEngine> MakeEngine(const Table* table,
                                        const LayoutGenerator* generator,
                                        int time_column,

@@ -290,29 +290,6 @@ Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
   return batch;
 }
 
-void PhysicalStore::PrefetchForQueries(const Snapshot& snapshot,
-                                       const std::vector<Query>& queries,
-                                       size_t skip) const {
-  if (prefetcher_ == nullptr || snapshot.instance == nullptr) return;
-  if (queries.size() <= skip) return;
-  const Partitioning& parts = snapshot.instance->partitioning();
-  std::set<std::string> scanning;  // files the first `skip` queries touch
-  for (size_t qi = 0; qi < skip && qi < queries.size(); ++qi) {
-    for (uint32_t pid : PartitionsToRead(parts, queries[qi])) {
-      scanning.insert(snapshot.files[pid]);
-    }
-  }
-  std::set<std::string> requested;
-  for (size_t qi = skip; qi < queries.size(); ++qi) {
-    for (uint32_t pid : PartitionsToRead(parts, queries[qi])) {
-      const std::string& file = snapshot.files[pid];
-      if (scanning.count(file) == 0 && requested.insert(file).second) {
-        prefetcher_->StartPrefetch(file);
-      }
-    }
-  }
-}
-
 void PhysicalStore::Vacuum() {
   std::vector<std::string> victims;
   {

@@ -1,9 +1,9 @@
 // Physical execution substrate for the end-to-end experiments (Figure 3,
-// Table I). This replaces the paper's shallow Spark integration (DESIGN.md,
-// substitutions): partitions live as compressed block files on local disk;
-// a query prunes partitions via zone maps and scans the survivors; a
-// reorganization reads every partition, re-assigns rows under the new layout,
-// and compresses + writes the new partition files.
+// Table I). This replaces the paper's shallow Spark integration (see
+// "Substitutions" in docs/ARCHITECTURE.md): partitions live as compressed
+// block files on local disk; a query prunes partitions via zone maps and
+// scans the survivors; a reorganization reads every partition, re-assigns
+// rows under the new layout, and compresses + writes the new partition files.
 #ifndef OREO_CORE_PHYSICAL_H_
 #define OREO_CORE_PHYSICAL_H_
 
@@ -158,17 +158,6 @@ class PhysicalStore {
   Result<BatchExec> ExecuteQueryBatchOnSnapshot(
       const Snapshot& snapshot, const std::vector<Query>& queries,
       const LiveScanView* live = nullptr) const;
-
-  /// Asynchronously warms the zone-map-surviving partitions of
-  /// `queries[skip..]` into the backend's cache tier, excluding partitions
-  /// the first `skip` queries already touch (they are being scanned right
-  /// now — fetching them again would only duplicate work). No-op unless the
-  /// backend implements BlockPrefetcher. Purely advisory: query results and
-  /// counters never depend on whether a prefetch happened, was dropped, or
-  /// failed.
-  void PrefetchForQueries(const Snapshot& snapshot,
-                          const std::vector<Query>& queries,
-                          size_t skip = 0) const;
 
   /// Deletes files superseded by completed reorganizations. Call when no
   /// snapshot readers can still reference them.

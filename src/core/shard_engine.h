@@ -1,13 +1,13 @@
 // One shard's complete engine: the shard's slice of the table, its own
 // logical Oreo core (LayoutManager + D-UMTS state + StateRegistry), and an
-// optional on-disk PhysicalStore.
+// optional PhysicalStore.
 //
 // The paper's online algorithm (Theorem IV.1) is per-table, so every shard
 // runs an *independent* MTS instance over its own sub-stream — the
 // worst-case competitive guarantee holds shard by shard, and shards never
-// exchange state. ShardedOreo owns N of these behind the routing facade; a
-// 1-shard engine over the whole table is bit-identical to a bare Oreo
-// (pinned by tests/sharded_equivalence_test.cc).
+// exchange state. ShardedOreo owns N of these behind the routing facade and
+// is the only physical engine; a 1-shard engine over the whole table is
+// bit-identical to a bare Oreo (pinned by tests/sharded_equivalence_test.cc).
 //
 // Physical mode: AttachPhysical materializes the engine's current layout
 // into a per-shard directory. The engine then tracks the materialized state,
@@ -30,21 +30,24 @@ namespace core {
 /// A per-shard Oreo + optional PhysicalStore composition.
 class ShardEngine {
  public:
-  /// `generator` must outlive the engine; `shard_table` is owned (moved in).
-  /// `options.seed` must already be derived for this shard (ShardedOreo
-  /// keeps shard 0 on the master seed so 1-shard runs replay bit-identically).
-  ShardEngine(uint32_t shard_id, Table shard_table,
+  /// `shard_table` is the shard's slice of the table: `owned_table` when the
+  /// facade had to copy it out of a larger table (the engine keeps it
+  /// alive), or null when `shard_table` is the caller's whole table, which
+  /// must then outlive the engine — as must `generator`. `options.seed` must
+  /// already be derived for this shard (ShardedOreo keeps shard 0 on the
+  /// master seed so 1-shard runs replay bit-identically).
+  ShardEngine(uint32_t shard_id, const Table* shard_table,
+              std::unique_ptr<const Table> owned_table,
               const LayoutGenerator* generator, int time_column,
               const OreoOptions& options);
 
   uint32_t shard_id() const { return shard_id_; }
-  const Table& table() const { return table_; }
   Oreo& oreo() { return *oreo_; }
   const Oreo& oreo() const { return *oreo_; }
 
-  /// Creates the shard's on-disk store under `dir` and materializes the
-  /// engine's current physical layout into it.
-  Status AttachPhysical(const std::string& dir, size_t num_threads);
+  /// Creates the shard's store under `dir` (`store_threads` scan/rewrite
+  /// workers) and materializes the engine's current physical layout into it.
+  Status AttachPhysical(const std::string& dir, size_t store_threads);
   bool has_physical() const { return store_ != nullptr; }
   PhysicalStore* store() { return store_.get(); }
 
@@ -75,7 +78,7 @@ class ShardEngine {
 
  private:
   uint32_t shard_id_;
-  Table table_;
+  std::unique_ptr<const Table> owned_table_;  // null when borrowed
   std::unique_ptr<Oreo> oreo_;
   std::unique_ptr<PhysicalStore> store_;
   PhysicalStore::Snapshot snapshot_;

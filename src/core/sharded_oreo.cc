@@ -1,5 +1,6 @@
 #include "core/sharded_oreo.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/logging.h"
@@ -51,34 +52,70 @@ ShardedOreo::ShardedOreo(const Table* table, const LayoutGenerator* generator,
                          int time_column, const OreoOptions& options)
     : router_(BuildRouterFor(table, time_column, options)) {
   OREO_CHECK(generator != nullptr);
-  std::vector<std::vector<uint32_t>> shard_rows = router_.SplitRows(*table);
-  engines_.reserve(options.num_shards);
-  weights_.reserve(options.num_shards);
+  const size_t n = options.num_shards;
+  // One shard is the whole table: its engine reads the caller's table in
+  // place instead of a copy.
+  std::vector<std::vector<uint32_t>> shard_rows;
+  if (n > 1) shard_rows = router_.SplitRows(*table);
+  engines_.reserve(n);
+  weights_.reserve(n);
   const double total_rows = static_cast<double>(table->num_rows());
-  for (uint32_t s = 0; s < options.num_shards; ++s) {
-    // Empty shards cannot bootstrap a default layout; the routing column
-    // must spread values across every shard (pick a higher-cardinality
-    // column or fewer shards otherwise).
-    OREO_CHECK(!shard_rows[s].empty())
-        << "shard " << s << " is empty: routing column " << router_.column()
-        << " cannot fill " << options.num_shards << " shards";
+  for (uint32_t s = 0; s < n; ++s) {
     OreoOptions shard_opts = options;
     shard_opts.seed = ShardSeed(options.seed, s);
-    // With several shards, parallelism comes from the facade's fan-out
-    // *across* engines; per-engine internals run serial so N engines do not
-    // multiply persistent thread pools and oversubscribe the host. Results
-    // are unchanged either way (the determinism contract is thread-count
-    // invariant). A 1-shard facade passes the knob through, keeping its
-    // engine configured exactly like a bare Oreo.
-    if (options.num_shards > 1) shard_opts.num_threads = 1;
-    engines_.push_back(std::make_unique<ShardEngine>(
-        s, table->Take(shard_rows[s]), generator, time_column, shard_opts));
+    const Table* shard_table = table;
+    std::unique_ptr<const Table> owned;
+    if (n > 1) {
+      // Empty shards cannot bootstrap a default layout; the routing column
+      // must spread values across every shard (pick a higher-cardinality
+      // column or fewer shards otherwise).
+      OREO_CHECK(!shard_rows[s].empty())
+          << "shard " << s << " is empty: routing column " << router_.column()
+          << " cannot fill " << n << " shards";
+      owned = std::make_unique<const Table>(table->Take(shard_rows[s]));
+      shard_table = owned.get();
+      // With several shards, parallelism comes from the facade's fan-out
+      // *across* engines; per-engine internals run serial so N engines do
+      // not multiply persistent thread pools and oversubscribe the host.
+      // Results are unchanged either way (the determinism contract is
+      // thread-count invariant). A 1-shard facade passes the knob through,
+      // keeping its engine configured exactly like a bare Oreo.
+      shard_opts.num_threads = 1;
+    }
     weights_.push_back(total_rows > 0
-                           ? static_cast<double>(shard_rows[s].size()) /
+                           ? static_cast<double>(shard_table->num_rows()) /
                                  total_rows
                            : 0.0);
+    engines_.push_back(std::make_unique<ShardEngine>(
+        s, shard_table, std::move(owned), generator, time_column, shard_opts));
   }
-  pool_ = std::make_unique<ThreadPool>(options.num_threads);
+  // Every fan-out is across shards, so more workers than shards would idle.
+  pool_ = std::make_unique<ThreadPool>(
+      std::min(ThreadPool::ResolveThreads(options.num_threads), n));
+}
+
+ShardedOreo::RoutedBatch ShardedOreo::Route(
+    const std::vector<Query>& queries) const {
+  const size_t n = engines_.size();
+  RoutedBatch routed;
+  routed.counts.assign(n, 0);
+  routed.first.reserve(queries.size() + 1);
+  routed.first.push_back(0);
+  for (const Query& query : queries) {
+    for (uint32_t s : router_.ShardsForQuery(query)) {
+      routed.shards.push_back(s);
+      ++routed.counts[s];
+    }
+    routed.first.push_back(routed.shards.size());
+  }
+  routed.sub.resize(n);
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
+    for (size_t i = routed.first[qi]; i < routed.first[qi + 1]; ++i) {
+      const uint32_t s = routed.shards[i];
+      if (!routed.whole(s)) routed.sub[s].push_back(queries[qi]);
+    }
+  }
+  return routed;
 }
 
 ShardedOreo::ShardedStepResult ShardedOreo::StepSharded(const Query& query) {
@@ -92,21 +129,16 @@ ShardedOreo::ShardedBatchResult ShardedOreo::RunBatchSharded(
     const QueryBatch& batch) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
   const size_t n = engines_.size();
-  // Serial routing in stream order: the per-shard sub-streams (and their
-  // order) never depend on the pool.
-  std::vector<std::vector<uint32_t>> touched(batch.size());
-  std::vector<QueryBatch> sub(n);
-  for (size_t qi = 0; qi < batch.size(); ++qi) {
-    touched[qi] = router_.ShardsForQuery(batch.queries[qi]);
-    for (uint32_t s : touched[qi]) {
-      sub[s].queries.push_back(batch.queries[qi]);
-    }
-  }
+  RoutedBatch routed = Route(batch.queries);
   // Shard fan-out: each engine makes its (inherently sequential) decisions
   // over its own sub-stream, independent of every other shard.
   std::vector<Oreo::BatchResult> results(n);
   pool_->ParallelFor(n, [&](size_t s) {
-    results[s] = engines_[s]->oreo().RunBatch(sub[s]);
+    if (routed.counts[s] == 0) return;
+    Oreo& core = engines_[s]->oreo();
+    results[s] = routed.whole(s)
+                     ? core.RunBatch(batch)
+                     : core.RunBatch(QueryBatch(std::move(routed.sub[s])));
   });
   // Serial merge in stream order; within a query, shards ascend.
   ShardedBatchResult out;
@@ -114,7 +146,8 @@ ShardedOreo::ShardedBatchResult ShardedOreo::RunBatchSharded(
   std::vector<size_t> cursor(n, 0);
   for (size_t qi = 0; qi < batch.size(); ++qi) {
     ShardedStepResult step;
-    for (uint32_t s : touched[qi]) {
+    for (size_t i = routed.first[qi]; i < routed.first[qi + 1]; ++i) {
+      const uint32_t s = routed.shards[i];
       const Oreo::StepResult& shard_step = results[s].steps[cursor[s]++];
       step.query_cost += weights_[s] * shard_step.query_cost;
       step.reorganized = step.reorganized || shard_step.reorganized;
@@ -160,22 +193,25 @@ ShardedSimResult ShardedOreo::Run(const std::vector<Query>& queries,
                                   bool record_trace) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
   const size_t n = engines_.size();
+  RoutedBatch routed = Route(queries);
   ShardedSimResult result;
-  result.shard_streams.assign(n, {});
-  for (const Query& q : queries) {
-    for (uint32_t s : router_.ShardsForQuery(q)) {
-      result.shard_streams[s].push_back(q);
-    }
-  }
   result.shards.resize(n);
   pool_->ParallelFor(n, [&](size_t s) {
-    result.shards[s] =
-        engines_[s]->oreo().Run(result.shard_streams[s], record_trace);
+    result.shards[s] = engines_[s]->oreo().Run(
+        routed.whole(s) ? queries : routed.sub[s], record_trace);
   });
   for (size_t s = 0; s < n; ++s) {
     result.query_cost += weights_[s] * result.shards[s].query_cost;
     result.reorg_cost += weights_[s] * result.shards[s].reorg_cost;
     result.num_switches += result.shards[s].num_switches;
+  }
+  // The sub-streams only feed ReplayTrace, which needs a recorded trace.
+  if (record_trace) {
+    result.shard_streams.resize(n);
+    for (size_t s = 0; s < n; ++s) {
+      result.shard_streams[s] =
+          routed.whole(s) ? queries : std::move(routed.sub[s]);
+    }
   }
   return result;
 }
@@ -286,60 +322,38 @@ Result<PhysicalStore::BatchExec> ShardedOreo::ExecuteBatchPhysical(
   OREO_CHECK(reorg_pool_ != nullptr) << "call AttachPhysical first";
   PhysicalStore::BatchExec batch;
   Stopwatch sw;
-  // Serial routing in stream order, then one flat work list of
-  // (shard, query) items in (stream order, shard order).
-  struct Item {
-    uint32_t shard;
-    size_t qi;
-  };
-  std::vector<std::vector<uint32_t>> touched(queries.size());
-  std::vector<Item> items;
-  for (size_t qi = 0; qi < queries.size(); ++qi) {
-    touched[qi] = router_.ShardsForQuery(queries[qi]);
-    for (uint32_t s : touched[qi]) items.push_back(Item{s, qi});
-  }
-  // With a shared cache tier attached, ask each shard's store to warm the
-  // partitions its batch tail will scan while the batch head runs. Advisory:
-  // counters and results are identical with prefetch off.
-  if (engines_.front()->oreo().options().shared_cache != nullptr) {
-    std::vector<std::vector<Query>> per_shard(engines_.size());
-    for (size_t qi = 0; qi < queries.size(); ++qi) {
-      for (uint32_t s : touched[qi]) per_shard[s].push_back(queries[qi]);
-    }
-    for (size_t s = 0; s < engines_.size(); ++s) {
-      if (per_shard[s].size() < 2) continue;
-      ShardEngine& engine = *engines_[s];
-      engine.store()->PrefetchForQueries(engine.snapshot(), per_shard[s],
-                                         /*skip=*/1);
-    }
-  }
-  // Flat fan-out: every item scans one shard's surviving partitions against
-  // that shard's pinned snapshot, staging counters in its own slot.
-  std::vector<PhysicalStore::QueryExec> execs(items.size());
-  std::vector<Status> statuses(items.size());
-  pool_->ParallelFor(items.size(), [&](size_t i) {
-    ShardEngine& engine = *engines_[items[i].shard];
-    Result<PhysicalStore::QueryExec> exec =
-        engine.store()->ExecuteQueryOnSnapshot(
-            engine.snapshot(), queries[items[i].qi],
+  const size_t n = engines_.size();
+  RoutedBatch routed = Route(queries);
+  // Shard fan-out: every touched shard scans its sub-batch against its
+  // pinned snapshot and scan overlay, staging the result in its own slot.
+  std::vector<PhysicalStore::BatchExec> execs(n);
+  std::vector<Status> statuses(n);
+  pool_->ParallelFor(n, [&](size_t s) {
+    if (routed.counts[s] == 0) return;
+    ShardEngine& engine = *engines_[s];
+    Result<PhysicalStore::BatchExec> exec =
+        engine.store()->ExecuteQueryBatchOnSnapshot(
+            engine.snapshot(), routed.whole(s) ? queries : routed.sub[s],
             engine.oreo().live_scan_view());
     if (!exec.ok()) {
-      statuses[i] = exec.status();
+      statuses[s] = exec.status();
       return;
     }
-    execs[i] = *exec;
+    execs[s] = std::move(*exec);
   });
   OREO_RETURN_NOT_OK(FirstError(statuses));
   // Serial reduction in stream order, shards ascending within a query.
   batch.per_query.resize(queries.size());
-  size_t item = 0;
+  std::vector<size_t> cursor(n, 0);
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     PhysicalStore::QueryExec& agg = batch.per_query[qi];
-    for (size_t t = 0; t < touched[qi].size(); ++t, ++item) {
-      agg.partitions_read += execs[item].partitions_read;
-      agg.rows_scanned += execs[item].rows_scanned;
-      agg.matches += execs[item].matches;
-      agg.bytes_read += execs[item].bytes_read;
+    for (size_t i = routed.first[qi]; i < routed.first[qi + 1]; ++i) {
+      const uint32_t s = routed.shards[i];
+      const PhysicalStore::QueryExec& exec = execs[s].per_query[cursor[s]++];
+      agg.partitions_read += exec.partitions_read;
+      agg.rows_scanned += exec.rows_scanned;
+      agg.matches += exec.matches;
+      agg.bytes_read += exec.bytes_read;
     }
   }
   batch.seconds = sw.ElapsedSeconds();
@@ -430,34 +444,24 @@ int64_t ShardedOreo::num_switches() const {
 Result<PhysicalReplayResult> ShardedOreo::ReplayTrace(
     const EngineSimResult& sim, size_t stride, const std::string& dir,
     size_t num_threads, size_t batch_size) const {
-  // Every engine was built from the same options; shard 0's backend is the
-  // facade's backend.
-  return ShardedReplayPhysical(*this, sim, stride, dir, num_threads,
-                               batch_size,
-                               engine(0).oreo().options().storage_backend);
-}
-
-Result<PhysicalReplayResult> ShardedReplayPhysical(
-    const ShardedOreo& oreo, const ShardedSimResult& sim, size_t stride,
-    const std::string& dir, size_t num_threads, size_t batch_size,
-    std::shared_ptr<StorageBackend> backend) {
-  OREO_CHECK_EQ(sim.shards.size(), oreo.num_shards())
-      << "sim does not match this ShardedOreo";
-  OREO_CHECK_EQ(sim.shard_streams.size(), oreo.num_shards());
+  OREO_CHECK_EQ(sim.shards.size(), engines_.size())
+      << "sim does not match this engine";
+  OREO_CHECK_EQ(sim.shard_streams.size(), engines_.size());
   PhysicalReplayResult total;
-  for (size_t s = 0; s < oreo.num_shards(); ++s) {
-    const ShardEngine& engine = oreo.engine(s);
-    // Mirror the serving path: when the facade carries a shared cache, each
+  for (const auto& engine : engines_) {
+    const Oreo& core = engine->oreo();
+    const uint32_t s = engine->shard_id();
+    // base_table(): after a fold the registry's partitionings cover the
+    // folded rows. Mirror the serving path: with a shared cache, each
     // shard's replay store reads through its own shard-charged view of it.
     OREO_ASSIGN_OR_RETURN(
         PhysicalReplayResult shard,
-        ReplayPhysical(engine.oreo().base_table(), engine.oreo().registry(),
-                       sim.shards[s], sim.shard_streams[s], stride,
-                       ShardDirName(dir, static_cast<uint32_t>(s)),
+        ReplayPhysical(core.base_table(), core.registry(), sim.shards[s],
+                       sim.shard_streams[s], stride, ShardDirName(dir, s),
                        num_threads, batch_size,
-                       WrapWithSharedCache(
-                           engine.oreo().options().shared_cache, backend,
-                           static_cast<uint32_t>(s))));
+                       WrapWithSharedCache(core.options().shared_cache,
+                                           core.options().storage_backend,
+                                           s)));
     total.query_seconds += shard.query_seconds;
     total.reorg_seconds += shard.reorg_seconds;
     total.num_switches += shard.num_switches;

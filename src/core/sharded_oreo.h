@@ -1,5 +1,6 @@
 // The sharded OREO facade: N independent per-shard engines behind one
-// router.
+// router — the only physical engine (MakeEngine builds it for every shard
+// count, one included).
 //
 // A ShardedOreo splits the table into `OreoOptions::num_shards` horizontal
 // shards (ShardRouter over `shard_column`, hash or range routing), runs one
@@ -8,10 +9,11 @@
 // its routing-column predicates can touch. Range routing prunes shards like
 // a coarse zone map, so a selective query often runs on a single shard.
 //
-// Determinism contract (extends PR 2/PR 3, pinned by
-// tests/sharded_equivalence_test.cc):
+// Determinism contract (pinned by tests/sharded_equivalence_test.cc and
+// tests/engine_golden_test.cc):
 //   - a 1-shard ShardedOreo is bit-identical to a bare Oreo — costs,
-//     switch decisions, decision traces, and replayed partition-file CRCs;
+//     switch decisions, decision traces and replayed partition files — and
+//     serves the caller's table in place (no shard copy);
 //   - N-shard runs are bit-identical across thread counts: decisions inside
 //     a shard are sequential in sub-stream order, shards are independent,
 //     and every fan-out stages per-slot results reduced serially in stream
@@ -27,12 +29,16 @@
 // and OPT by the same weight preserves every ratio, so the worst-case
 // guarantee survives sharding shard by shard.
 //
-// Physical mode: AttachPhysical gives every engine an on-disk store under
-// `base_dir/shard_NNN`. Batches execute against pinned per-shard snapshots
-// as one flat ParallelFor over (shard, query) work items; a shared
-// ReorgPool runs at most one background rewrite per shard (concurrent
-// across shards), and SyncPhysical reconciles snapshots and submits newly
-// needed rewrites at batch boundaries.
+// Physical mode: AttachPhysical gives every engine a store under
+// `base_dir/shard_NNN`. A batch splits into per-shard sub-batches, each
+// executed by its shard's store against the shard's pinned snapshot
+// (PhysicalStore::ExecuteQueryBatchOnSnapshot, with its built-in prefetch);
+// a shared ReorgPool runs at most one background rewrite per shard
+// (concurrent across shards), and SyncPhysical reconciles snapshots and
+// submits newly needed rewrites at batch boundaries.
+//
+// Thread model: see OreoOptions::num_threads (across shards) and
+// AttachPhysical's `store_threads` (within a shard).
 #ifndef OREO_CORE_SHARDED_OREO_H_
 #define OREO_CORE_SHARDED_OREO_H_
 
@@ -50,7 +56,7 @@ namespace oreo {
 namespace core {
 
 /// Per-shard traces plus merged accounting from ShardedOreo::Run — the
-/// engine-level result shape (the unsharded engine fills one slot).
+/// engine-level result shape.
 using ShardedSimResult = EngineSimResult;
 
 /// Online data-layout reorganization over a horizontally sharded table,
@@ -60,6 +66,8 @@ class ShardedOreo : public OreoEngine {
   /// `table` and `generator` must outlive this object. Shard engines are
   /// configured from `options` with per-shard derived seeds (shard 0 keeps
   /// the master seed). `options.shard_column == -1` routes on `time_column`.
+  /// Several shards each own a copy of their rows; a single shard reads
+  /// `table` in place.
   ShardedOreo(const Table* table, const LayoutGenerator* generator,
               int time_column, const OreoOptions& options);
 
@@ -104,8 +112,8 @@ class ShardedOreo : public OreoEngine {
   BatchResult RunBatch(const QueryBatch& batch) override;
 
   /// Convenience API: routes the whole stream, runs every shard engine's
-  /// simulation, and returns per-shard traces plus merged accounting.
-  /// Intended for a fresh instance (mirrors Oreo::Run).
+  /// Oreo::Run over its sub-stream, and returns per-shard traces plus merged
+  /// accounting.
   ShardedSimResult Run(const std::vector<Query>& queries,
                        bool record_trace = false);
 
@@ -123,8 +131,9 @@ class ShardedOreo : public OreoEngine {
   /// — so the sequence of mutations a shard sees is a deterministic function
   /// of the batch stream, independent of threads. The whole batch is
   /// validated up front (schema + delete columns) so a rejected batch leaves
-  /// no shard partially applied. A 1-shard facade forwards the batch
-  /// untouched and stays bit-identical to a bare Oreo.
+  /// no shard partially applied. With one shard the split (SplitIngest)
+  /// hands shard 0 a copy of every row and every delete, so a 1-shard
+  /// facade applies the same mutations as a bare Oreo.
   ///
   /// Row weights are recomputed from the shards' post-ingest physical scan
   /// sizes (base + delta rows), keeping the merged cost accounting
@@ -142,17 +151,20 @@ class ShardedOreo : public OreoEngine {
   // --- physical execution -------------------------------------------------
 
   /// Creates one PhysicalStore per shard under `base_dir/shard_NNN` (through
-  /// OreoOptions::storage_backend), materializes every engine's current
-  /// layout, and starts the shared reorganization pool (`reorg_workers`
-  /// threads, 0 = one per shard).
+  /// OreoOptions::storage_backend, `store_threads` workers each),
+  /// materializes every engine's current layout, and starts the shared
+  /// reorganization pool (`reorg_workers` threads, 0 = one per shard).
   Status AttachPhysical(const std::string& base_dir, size_t store_threads = 1,
                         size_t reorg_workers = 0) override;
   bool has_physical() const override { return reorg_pool_ != nullptr; }
 
-  /// Executes a batch against the pinned per-shard snapshots: one flat
-  /// ParallelFor over (shard, query) work items, per-query counters summed
-  /// across touched shards and reduced serially in stream order. Counter
-  /// totals (matches above all) are layout- and thread-count-invariant.
+  /// Executes a batch against the pinned per-shard snapshots: every touched
+  /// shard runs its sub-batch (stream order) through
+  /// PhysicalStore::ExecuteQueryBatchOnSnapshot, shards fan out across the
+  /// facade pool, and per-query counters are summed across touched shards
+  /// serially in stream order. Counter totals (matches above all) are
+  /// layout- and thread-count-invariant; an error is reported from the
+  /// lowest failing shard.
   Result<PhysicalStore::BatchExec> ExecuteBatchPhysical(
       const std::vector<Query>& queries) override;
 
@@ -167,6 +179,11 @@ class ShardedOreo : public OreoEngine {
   /// Blocks until no shard has a rewrite queued or running, then reconciles.
   void WaitForReorgs() override;
 
+  /// Replays per-shard decision traces physically: every shard runs
+  /// ReplayPhysical over its own sub-stream, trace and registry, into
+  /// `dir/shard_NNN` (through the shard's view of the shared cache, when
+  /// one is configured); counters are summed across shards. `sim` must come
+  /// from Run(..., record_trace=true) on this engine.
   Result<PhysicalReplayResult> ReplayTrace(const EngineSimResult& sim,
                                            size_t stride,
                                            const std::string& dir,
@@ -199,6 +216,25 @@ class ShardedOreo : public OreoEngine {
   int64_t num_switches() const override;
 
  private:
+  /// A batch routed to the shards, serially in stream order.
+  struct RoutedBatch {
+    /// The shards query qi touches, ascending, are
+    /// shards[first[qi]] .. shards[first[qi + 1] - 1] (one flat array, so
+    /// routing a long stream allocates nothing per query).
+    std::vector<uint32_t> shards;
+    std::vector<size_t> first;
+    /// Per shard: its sub-batch in stream order. Left empty for a shard
+    /// every query touches (always the case with one shard) — that shard
+    /// runs the caller's batch itself; see whole().
+    std::vector<std::vector<Query>> sub;
+    /// Per shard: number of queries routed to it.
+    std::vector<size_t> counts;
+    bool whole(size_t shard) const {
+      return counts[shard] == first.size() - 1;
+    }
+  };
+  RoutedBatch Route(const std::vector<Query>& queries) const;
+
   /// Re-materializes a folded shard's store from its folded base and adopts
   /// the fresh snapshot (fold = compaction: same layout, fewer rows).
   Status RematerializeShard(ShardEngine& engine);
@@ -208,23 +244,13 @@ class ShardedOreo : public OreoEngine {
   std::vector<std::unique_ptr<ShardEngine>> engines_;
   std::vector<double> weights_;
   uint64_t ingest_version_ = 0;  ///< facade-level ingest batch counter
-  std::unique_ptr<ThreadPool> pool_;  // batch fan-out across shards
+  std::unique_ptr<ThreadPool> pool_;  // fan-out across shards (<= num_shards)
   // Declared after the engines so it is destroyed first: in-flight rewrite
   // callbacks touch engines/stores and must never outlive them.
   std::unique_ptr<ReorgPool> reorg_pool_;
 };
 
-/// Replays per-shard decision traces physically: every shard runs the
-/// legacy ReplayPhysical over its own sub-stream, trace and registry, into
-/// `dir/shard_NNN`; counters are summed across shards. `sim` must come from
-/// ShardedOreo::Run(..., record_trace=true) on `oreo`. A 1-shard replay
-/// leaves files bit-identical to ReplayPhysical of the unsharded trace.
-Result<PhysicalReplayResult> ShardedReplayPhysical(
-    const ShardedOreo& oreo, const ShardedSimResult& sim, size_t stride,
-    const std::string& dir, size_t num_threads = 0, size_t batch_size = 1,
-    std::shared_ptr<StorageBackend> backend = nullptr);
-
-/// Shard subdirectory name used by AttachPhysical and ShardedReplayPhysical.
+/// Shard subdirectory name used by AttachPhysical and ReplayTrace.
 std::string ShardDirName(const std::string& base_dir, uint32_t shard);
 
 }  // namespace core

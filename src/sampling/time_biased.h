@@ -2,11 +2,12 @@
 // to be retained than old ones. Algorithm 5 (ADMIT STATE) evaluates candidate
 // layouts on such a sample (the paper uses R-TBS [Hentschel et al., TODS'19]).
 //
-// Implementation note (documented substitution, see DESIGN.md): we realize the
-// exponential time bias with Efraimidis–Spirakis weighted reservoir sampling
-// (A-Res) using weight w_i = exp(lambda * t_i). Item priorities are kept in
-// log space to avoid overflow: maximizing the A-Res key u^(1/w) is equivalent
-// to maximizing  lambda * t_i - log(e_i)  with e_i ~ Exp(1). This yields the
+// Implementation note (documented substitution, see "Substitutions" in
+// docs/ARCHITECTURE.md): we realize the exponential time bias with
+// Efraimidis–Spirakis weighted reservoir sampling (A-Res) using weight
+// w_i = exp(lambda * t_i). Item priorities are kept in log space to avoid
+// overflow: maximizing the A-Res key u^(1/w) is equivalent to maximizing
+// lambda * t_i - log(e_i)  with e_i ~ Exp(1). This yields the
 // same inclusion-probability profile R-TBS targets — the probability an item
 // remains in the sample decays exponentially with its age.
 #ifndef OREO_SAMPLING_TIME_BIASED_H_

@@ -11,8 +11,9 @@
 //                   hours to months, plus collector-name filters).
 //
 // The substitution of generated data for the original datasets is documented
-// in DESIGN.md; layout-optimization behaviour depends on predicate structure
-// and value distributions, both of which are reproduced here.
+// under "Substitutions" in docs/ARCHITECTURE.md; layout-optimization
+// behaviour depends on predicate structure and value distributions, both of
+// which are reproduced here.
 #ifndef OREO_WORKLOADS_DATASET_H_
 #define OREO_WORKLOADS_DATASET_H_
 

@@ -1,15 +1,16 @@
-// Concurrency stress for the background reorganizer: a worker thread keeps
+// Concurrency stress for background reorganization: a ReorgPool worker keeps
 // rewriting the store into alternating layouts while foreground threads
 // hammer GetSnapshot / ExecuteQueryOnSnapshot / busy() / MaterializedBytes.
 // Results must stay correct throughout — every snapshot query sees exactly
 // the matches the table implies, no matter where the swap lands. Run under
 // -DOREO_SANITIZE=thread this doubles as the race detector for the whole
-// PhysicalStore + ThreadPool + BackgroundReorganizer stack (the TSan CI job
-// does exactly that).
+// PhysicalStore + ThreadPool + ReorgPool stack (the TSan CI job does exactly
+// that).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -22,6 +23,20 @@
 namespace oreo {
 namespace core {
 namespace {
+
+// A rewrite of `store` into `target` under shard id 0 — the one-store use of
+// the per-shard pool.
+ReorgPool::Job RewriteJob(PhysicalStore* store, const Table* table,
+                          const LayoutInstance* target,
+                          std::function<void(const Status&)> on_done = {}) {
+  ReorgPool::Job job;
+  job.shard = 0;
+  job.store = store;
+  job.table = table;
+  job.target = target;
+  job.on_done = std::move(on_done);
+  return job;
+}
 
 TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
   Table t = testutil::MakeEventTable(6000, 41);
@@ -41,7 +56,7 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
   std::vector<uint64_t> expected;
   for (const Query& q : queries) expected.push_back(CountMatches(t, q));
 
-  BackgroundReorganizer bg(&store, &t);
+  ReorgPool pool(1);
   std::atomic<bool> stop{false};
   std::atomic<int> reader_errors{0};
   std::atomic<uint64_t> reads{0};
@@ -61,7 +76,7 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
           ++reader_errors;
         }
         (void)store.MaterializedBytes();
-        (void)bg.busy();
+        (void)pool.busy(0);
         ++reads;
         ++i;
       }
@@ -74,21 +89,21 @@ TEST(BackgroundStressTest, SnapshotQueriesStayCorrectAcrossRepeatedSwaps) {
   int completed_rounds = 0;
   for (int round = 0; round < 6; ++round) {
     const LayoutInstance* target = targets[round % 3];
-    while (!bg.Submit(target)) {
+    while (!pool.Submit(RewriteJob(&store, &t, target))) {
       std::this_thread::yield();
     }
-    bg.Wait();
-    ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+    pool.Wait(0);
+    ASSERT_TRUE(pool.last_status(0).ok()) << pool.last_status(0).ToString();
     ++completed_rounds;
   }
 
   stop.store(true, std::memory_order_release);
   for (std::thread& th : readers) th.join();
-  bg.Wait();
+  pool.Wait(0);
 
   EXPECT_EQ(reader_errors.load(), 0);
   EXPECT_GT(reads.load(), 0u);
-  EXPECT_EQ(bg.stats().completed, completed_rounds);
+  EXPECT_EQ(pool.stats().completed, completed_rounds);
   // Readers are gone: now reclaiming outgoing files is safe, and fresh
   // queries serve the final layout correctly.
   store.Vacuum();
@@ -111,7 +126,7 @@ TEST(BackgroundStressTest, ConcurrentSubmittersNeverDoubleBook) {
   PhysicalStore store(testutil::ScratchDir("bg_submit"), /*num_threads=*/2);
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
 
-  BackgroundReorganizer bg(&store, &t);
+  ReorgPool pool(1);
   std::atomic<int> accepted{0};
 
   // Two threads race Submit; every accepted submission must eventually be
@@ -121,16 +136,16 @@ TEST(BackgroundStressTest, ConcurrentSubmittersNeverDoubleBook) {
     submitters.emplace_back([&, s] {
       const LayoutInstance* mine = (s == 0) ? &b : &c;
       for (int i = 0; i < 40; ++i) {
-        if (bg.Submit(mine)) ++accepted;
+        if (pool.Submit(RewriteJob(&store, &t, mine))) ++accepted;
         std::this_thread::yield();
       }
     });
   }
   for (std::thread& th : submitters) th.join();
-  bg.Wait();
-  ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+  pool.Wait(0);
+  ASSERT_TRUE(pool.last_status(0).ok()) << pool.last_status(0).ToString();
   EXPECT_GE(accepted.load(), 1);
-  EXPECT_EQ(bg.stats().completed, accepted.load());
+  EXPECT_EQ(pool.stats().completed, accepted.load());
   // The store still holds exactly one consistent layout with all rows.
   store.Vacuum();
   Query full;
@@ -290,10 +305,10 @@ TEST(BackgroundStressTest, DestructionDiscardsQueuedJobsWithoutFiringThem) {
   EXPECT_EQ(store_b.current_instance(), &a) << "a discarded job ran anyway";
 }
 
-// The legacy facade inherits the shutdown contract: destroying it right
-// after an accepted Submit must be safe — the callback either fired on the
-// worker before the join or was discarded unfired, and it can never touch
-// freed state afterwards (ASan/TSan verify the "never after" half).
+// A one-worker, one-shard pool keeps the shutdown contract: destroying it
+// right after an accepted Submit must be safe — the callback either fired on
+// the worker before the join or was discarded unfired, and it can never
+// touch freed state afterwards (ASan/TSan verify the "never after" half).
 TEST(BackgroundStressTest, ReorganizerDestructionAfterSubmitIsSafe) {
   Table t = testutil::MakeEventTable(1500, 62);
   LayoutInstance a = testutil::MakeSortedInstance(t, 0, 8, "a", 3);
@@ -304,11 +319,11 @@ TEST(BackgroundStressTest, ReorganizerDestructionAfterSubmitIsSafe) {
     std::atomic<bool> fired{false};
     bool accepted = false;
     {
-      BackgroundReorganizer bg(&store, &t);
-      accepted = bg.Submit(&b, [&](const Status& st) {
+      ReorgPool pool(1);
+      accepted = pool.Submit(RewriteJob(&store, &t, &b, [&](const Status& st) {
         EXPECT_TRUE(st.ok()) << st.ToString();
         fired = true;
-      });
+      }));
       // Destructor races the worker's pickup of the queued job.
     }
     ASSERT_TRUE(accepted);

@@ -321,11 +321,15 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
   std::string dir = testutil::ScratchDir("batch_eq_client");
   PhysicalStore store(dir, 4);
   ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
-  BackgroundReorganizer bg(&store, &t);
-  const uint64_t gen_before = bg.generation();
+  ReorgPool pool(1);
+  const uint64_t gen_before = pool.generation(0);
 
   PhysicalStore::Snapshot snap = store.GetSnapshot();
-  ASSERT_TRUE(bg.Submit(&by_qty));
+  ReorgPool::Job job;
+  job.store = &store;
+  job.table = &t;
+  job.target = &by_qty;
+  ASSERT_TRUE(pool.Submit(std::move(job)));
 
   std::vector<uint64_t> got;
   bool refreshed = false;
@@ -336,16 +340,16 @@ TEST(BatchEquivalenceTest, HighThroughputClientOverlapsBatchesWithReorg) {
     // Between batches: adopt the new layout once the background rewrite is
     // done. (For the counter comparison we keep querying the *old* snapshot
     // until then — exactly what a real client sees mid-rewrite.)
-    if (!refreshed && bg.generation() > gen_before) {
-      ASSERT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
+    if (!refreshed && pool.generation(0) > gen_before) {
+      ASSERT_TRUE(pool.last_status(0).ok()) << pool.last_status(0).ToString();
       refreshed = true;
     }
   }
   EXPECT_EQ(got, expected)
       << "snapshot isolation broke under background reorganization";
 
-  bg.Wait();
-  EXPECT_EQ(bg.generation(), gen_before + 1);
+  pool.Wait(0);
+  EXPECT_EQ(pool.generation(0), gen_before + 1);
   EXPECT_EQ(store.current_instance(), &by_qty);
   store.Vacuum();  // no snapshot readers remain
 

@@ -335,6 +335,60 @@ TEST(OreoIngestTest, QueriesChargeTheLiveCostWhileMutationsPend) {
               (base_cost * 1000.0 + 200.0) / 1400.0, 1e-12);
 }
 
+// Oreo::Run is the trace-recording form of Step: after an ingest it must
+// charge the same live cost, and it must leave the engine exactly where the
+// equivalent Step loop would (serving state, pending swaps, query clock).
+TEST(OreoIngestTest, RunAfterIngestMatchesStep) {
+  Table base = testutil::MakeEventTable(4000, 71);
+  QdTreeGenerator gen;
+  core::OreoOptions opts;
+  opts.alpha = 2.0;
+  opts.window_size = 50;
+  opts.generate_every = 50;
+  opts.target_partitions = 8;
+  opts.dataset_sample_rows = 400;
+  opts.reorg_delay = 3;
+  opts.seed = 72;
+  std::vector<Query> queries = testutil::MakeRangeWorkload(
+      /*column=*/1, /*domain=*/1000, /*width=*/50, 1500, 73,
+      /*assign_ids=*/true);
+  const IngestBatch append{MakeChunk(400, 4000, 74), {}};
+
+  core::Oreo stepper(&base, &gen, 0, opts);
+  ASSERT_TRUE(stepper.Ingest(append).ok());
+  ASSERT_EQ(stepper.folds(), 0u);
+  std::vector<double> cumulative;
+  std::vector<int> serving;
+  for (const Query& q : queries) {
+    core::OreoEngine::StepResult step = stepper.Step(q);
+    serving.push_back(step.state);
+    cumulative.push_back(stepper.total_cost());
+  }
+
+  core::Oreo runner(&base, &gen, 0, opts);
+  ASSERT_TRUE(runner.Ingest(append).ok());
+  core::SimResult sim = runner.Run(queries, /*record_trace=*/true);
+  EXPECT_EQ(sim.query_cost, stepper.total_query_cost());
+  EXPECT_EQ(sim.reorg_cost, stepper.total_reorg_cost());
+  EXPECT_EQ(sim.num_switches, stepper.num_switches());
+  EXPECT_EQ(static_cast<int64_t>(sim.switch_events.size()),
+            stepper.num_switches());
+  EXPECT_EQ(sim.serving_state, serving);
+  EXPECT_EQ(sim.cumulative, cumulative);
+  EXPECT_EQ(runner.total_cost(), stepper.total_cost());
+
+  // The engine state after Run is the state after the Step loop.
+  EXPECT_EQ(runner.current_state(), stepper.current_state());
+  EXPECT_EQ(runner.physical_state(), stepper.physical_state());
+  for (const Query& q : testutil::MakeRangeWorkload(1, 1000, 50, 20, 75)) {
+    core::OreoEngine::StepResult a = stepper.Step(q);
+    core::OreoEngine::StepResult b = runner.Step(q);
+    EXPECT_EQ(a.state, b.state);
+    EXPECT_EQ(a.query_cost, b.query_cost);
+    EXPECT_EQ(a.reorganized, b.reorganized);
+  }
+}
+
 // ----------------------------------------- drift-tracking sample refresh ----
 
 TEST(WorkloadStatsTest, DataVersionHistogramTracksIngestBoundaries) {

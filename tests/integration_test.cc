@@ -206,16 +206,20 @@ TEST(IntegrationTest, StreamingWithBackgroundPhysicalReorganization) {
                   .MaterializeLayout(f.ds.table,
                                      oreo.registry().Get(oreo.default_state()))
                   .ok());
-  BackgroundReorganizer bg(&store, &f.ds.table);
+  ReorgPool pool(1);  // one background process for the single store
 
   int64_t reorgs_submitted = 0;
   for (const Query& q : f.wl.queries) {
     Oreo::StepResult step = oreo.Step(q);
     if (step.reorganized) {
       // One background rewrite at a time: drain the previous one first.
-      bg.Wait();
+      pool.Wait(0);
       store.Vacuum();
-      ASSERT_TRUE(bg.Submit(&oreo.registry().Get(step.state)));
+      ReorgPool::Job job;
+      job.store = &store;
+      job.table = &f.ds.table;
+      job.target = &oreo.registry().Get(step.state);
+      ASSERT_TRUE(pool.Submit(std::move(job)));
       ++reorgs_submitted;
     }
     if (q.id % 60 == 0) {
@@ -227,10 +231,10 @@ TEST(IntegrationTest, StreamingWithBackgroundPhysicalReorganization) {
       EXPECT_EQ(exec->matches, CountMatches(f.ds.table, q));
     }
   }
-  bg.Wait();
+  pool.Wait(0);
   store.Vacuum();
-  EXPECT_TRUE(bg.last_status().ok() || reorgs_submitted == 0);
-  EXPECT_EQ(bg.stats().completed, reorgs_submitted);
+  EXPECT_TRUE(pool.last_status(0).ok() || reorgs_submitted == 0);
+  EXPECT_EQ(pool.stats().completed, reorgs_submitted);
   fs::remove_all(dir);
 }
 

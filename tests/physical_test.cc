@@ -137,21 +137,34 @@ TEST(ReplayPhysicalTest, FollowsDecisionTrace) {
   EXPECT_GT(result->query_seconds, 0.0);
 }
 
-TEST(BackgroundReorganizerTest, CompletesAndSwaps) {
+// A rewrite of `store` into `target` under shard id 0: the one-store use of
+// the per-shard pool (one worker = the paper's single background process).
+bool SubmitRewrite(ReorgPool* pool, PhysicalStore* store, const Table* table,
+                   const LayoutInstance* target) {
+  ReorgPool::Job job;
+  job.shard = 0;
+  job.store = store;
+  job.table = table;
+  job.target = target;
+  return pool->Submit(std::move(job));
+}
+
+TEST(ReorgPoolTest, CompletesAndSwaps) {
   Table t = MakeTable(5000, 10);
   LayoutInstance a = SortedInstance(t, 0, 8, "a");
   LayoutInstance b = SortedInstance(t, 1, 8, "b");
   PhysicalStore store(TempDir("bg_swap"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
   {
-    BackgroundReorganizer bg(&store, &t);
-    EXPECT_FALSE(bg.busy());
-    ASSERT_TRUE(bg.Submit(&b));
-    bg.Wait();
-    EXPECT_FALSE(bg.busy());
-    EXPECT_TRUE(bg.last_status().ok()) << bg.last_status().ToString();
-    EXPECT_EQ(bg.stats().completed, 1);
-    EXPECT_GT(bg.stats().total_seconds, 0.0);
+    ReorgPool pool(1);
+    EXPECT_FALSE(pool.busy(0));
+    ASSERT_TRUE(SubmitRewrite(&pool, &store, &t, &b));
+    pool.Wait(0);
+    EXPECT_FALSE(pool.busy(0));
+    EXPECT_TRUE(pool.last_status(0).ok()) << pool.last_status(0).ToString();
+    EXPECT_EQ(pool.generation(0), 1u);
+    EXPECT_EQ(pool.stats().completed, 1);
+    EXPECT_GT(pool.stats().total_seconds, 0.0);
   }
   // The store now serves the new layout with all rows intact.
   EXPECT_EQ(store.current_instance(), &b);
@@ -162,7 +175,7 @@ TEST(BackgroundReorganizerTest, CompletesAndSwaps) {
   store.Vacuum();
 }
 
-TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
+TEST(ReorgPoolTest, SnapshotServesDuringReorganization) {
   Table t = MakeTable(20000, 11);
   LayoutInstance a = SortedInstance(t, 0, 16, "a");
   LayoutInstance b = SortedInstance(t, 1, 16, "b");
@@ -174,8 +187,8 @@ TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
   q.conjuncts = {Predicate::Between(1, Value(int64_t{100}), Value(int64_t{300}))};
   uint64_t expected = CountMatches(t, q);
 
-  BackgroundReorganizer bg(&store, &t);
-  ASSERT_TRUE(bg.Submit(&b));
+  ReorgPool pool(1);
+  ASSERT_TRUE(SubmitRewrite(&pool, &store, &t, &b));
   // Keep querying the old snapshot while the rewrite runs; results must be
   // correct throughout (outgoing files stay on disk until Vacuum).
   int during = 0;
@@ -184,10 +197,10 @@ TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
     EXPECT_EQ(exec->matches, expected);
     ++during;
-  } while (bg.busy());
+  } while (pool.busy(0));
   EXPECT_GE(during, 1);
-  bg.Wait();
-  ASSERT_TRUE(bg.last_status().ok());
+  pool.Wait(0);
+  ASSERT_TRUE(pool.last_status(0).ok());
   // And the snapshot still works after the swap, until Vacuum.
   auto exec = store.ExecuteQueryOnSnapshot(snap, q);
   ASSERT_TRUE(exec.ok());
@@ -199,25 +212,26 @@ TEST(BackgroundReorganizerTest, SnapshotServesDuringReorganization) {
   EXPECT_EQ(fresh->matches, expected);
 }
 
-TEST(BackgroundReorganizerTest, RejectsConcurrentSubmit) {
+TEST(ReorgPoolTest, RejectsConcurrentSubmit) {
   Table t = MakeTable(30000, 12);
   LayoutInstance a = SortedInstance(t, 0, 16, "a");
   LayoutInstance b = SortedInstance(t, 1, 16, "b");
   LayoutInstance c = SortedInstance(t, 0, 8, "c");
   PhysicalStore store(TempDir("bg_reject"));
   ASSERT_TRUE(store.MaterializeLayout(t, a).ok());
-  BackgroundReorganizer bg(&store, &t);
-  ASSERT_TRUE(bg.Submit(&b));
-  // While busy, further submissions bounce (single background process).
+  ReorgPool pool(1);
+  ASSERT_TRUE(SubmitRewrite(&pool, &store, &t, &b));
+  // While busy, further submissions for the shard bounce (one background
+  // process per shard).
   bool rejected = false;
-  while (bg.busy()) {
-    if (!bg.Submit(&c)) {
+  while (pool.busy(0)) {
+    if (!SubmitRewrite(&pool, &store, &t, &c)) {
       rejected = true;
       break;
     }
   }
-  bg.Wait();
-  EXPECT_TRUE(rejected || bg.stats().completed >= 1);
+  pool.Wait(0);
+  EXPECT_TRUE(rejected || pool.stats().completed >= 1);
 }
 
 TEST(PhysicalStoreTest, VacuumReclaimsOutgoingFiles) {

@@ -21,10 +21,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/crc32.h"
+#include "core/engine.h"
 #include "core/oreo.h"
 #include "core/sharded_oreo.h"
 #include "layout/qdtree_layout.h"
@@ -200,12 +202,15 @@ TEST(ShardedEquivalenceTest, OneShardReplayLeavesIdenticalPartitionFiles) {
                      legacy_dir, /*num_threads=*/2, /*batch_size=*/4, backend);
   ASSERT_TRUE(legacy_replay.ok()) << legacy_replay.status().ToString();
 
-  ShardedOreo sharded(&t, &gen, 0, opts);
-  ShardedSimResult sharded_sim = sharded.Run(stream, /*record_trace=*/true);
+  OreoOptions engine_opts = opts;
+  engine_opts.storage_backend = backend;
+  std::unique_ptr<OreoEngine> sharded = MakeEngine(&t, &gen, 0, engine_opts);
+  EngineSimResult sharded_sim =
+      sharded->RunTrace(stream, /*record_trace=*/true);
   std::string sharded_dir = testutil::ScratchDir("sharded_eq_one");
   auto sharded_replay =
-      ShardedReplayPhysical(sharded, sharded_sim, /*stride=*/3, sharded_dir,
-                            /*num_threads=*/2, /*batch_size=*/4, backend);
+      sharded->ReplayTrace(sharded_sim, /*stride=*/3, sharded_dir,
+                           /*num_threads=*/2, /*batch_size=*/4);
   ASSERT_TRUE(sharded_replay.ok()) << sharded_replay.status().ToString();
 
   EXPECT_EQ(legacy_replay->num_switches, sharded_replay->num_switches);
@@ -259,12 +264,13 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
   std::vector<std::vector<uint32_t>> baseline_crcs;
   for (size_t threads : kThreadCounts) {
     OreoOptions opts = ShardedOpts(seed, threads, /*num_shards=*/4);
+    opts.storage_backend = backend;
     ShardedOreo sharded(&t, &gen, 0, opts);
     ShardedSimResult sim = sharded.Run(stream, /*record_trace=*/true);
     std::string dir = testutil::ScratchDir("sharded_eq_threads_" +
                                            std::to_string(threads));
-    auto replay = ShardedReplayPhysical(sharded, sim, /*stride=*/3, dir,
-                                        threads, /*batch_size=*/4, backend);
+    auto replay = sharded.ReplayTrace(sim, /*stride=*/3, dir, threads,
+                                      /*batch_size=*/4);
     ASSERT_TRUE(replay.ok()) << replay.status().ToString();
     std::vector<std::vector<uint32_t>> crcs;
     for (uint32_t s = 0; s < 4; ++s) {
