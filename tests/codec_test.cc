@@ -59,6 +59,10 @@ struct Int64CodecCase {
   int shape;
 };
 
+// gtest prints a param it cannot format as raw bytes, which would put the
+// pointer above into the listed test name; print the case name instead.
+void PrintTo(const Int64CodecCase& c, std::ostream* os) { *os << c.name; }
+
 class Int64CodecTest : public ::testing::TestWithParam<Int64CodecCase> {
  protected:
   std::vector<int64_t> MakeData(int shape) {

@@ -383,6 +383,10 @@ struct GenCase {
   uint32_t k;
 };
 
+// gtest prints a param it cannot format as raw bytes, which would put the
+// pointer above into the listed test name; print the case name instead.
+void PrintTo(const GenCase& c, std::ostream* os) { *os << c.name; }
+
 class GeneratorSweepTest : public ::testing::TestWithParam<GenCase> {};
 
 TEST_P(GeneratorSweepTest, CompleteAssignment) {
