@@ -11,7 +11,7 @@
 //   predicate_string  dict-code predicate
 //   eytzinger_lookup  sorted-boundary rank lookups vs std::lower_bound
 //   codec_delta       delta-varint int64 decode (block fast path)
-//   codec_rle         RLE int64 decode (pointer-fill fast path)
+//   crc32c            block checksum: table loop vs SSE4.2 crc32, in bytes
 //
 // Flags: --rows=N (default 10M) --probes=N --reps=N --seed=N
 //        --out=path.json (default: BENCH_kernels.json in the working
@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "common.h"
+#include "common/crc32.h"
 #include "common/eytzinger.h"
 #include "common/logging.h"
 #include "common/rng.h"
@@ -175,15 +176,8 @@ int Main(int argc, char** argv) {
     // Sorted int64s: small deltas, the block fast path's home turf.
     std::vector<int64_t> vals(t.column(0).ints());
     std::sort(vals.begin(), vals.end());
-    std::string delta_buf, rle_buf;
+    std::string delta_buf;
     EncodeInt64(vals, Encoding::kDeltaVarint, &delta_buf);
-    // Duplicate-heavy values for RLE.
-    std::vector<int64_t> dup_vals;
-    dup_vals.reserve(rows);
-    for (size_t i = 0; i < rows; ++i) {
-      dup_vals.push_back(static_cast<int64_t>(i / 512));
-    }
-    EncodeInt64(dup_vals, Encoding::kRle, &rle_buf);
 
     KernelResult rd{"codec_delta", "values", 0, 0, static_cast<double>(rows),
                     0};
@@ -195,19 +189,26 @@ int Main(int argc, char** argv) {
       return static_cast<uint64_t>(out.back()) + static_cast<uint64_t>(out[0]);
     });
     results.push_back(rd);
+  }
 
-    KernelResult rr{"codec_rle", "values", 0, 0, static_cast<double>(rows), 0};
-    Measure(&rr, reps, [&] {
-      OREO_CHECK(DecodeInt64(rle_buf, Encoding::kRle, dup_vals.size(), &out)
-                     .ok());
-      return static_cast<uint64_t>(out.back()) + static_cast<uint64_t>(out[0]);
-    });
-    results.push_back(rr);
+  // ---- block checksum over the int64 column's raw bytes -----------------
+  {
+    const std::vector<int64_t>& ints = t.column(0).ints();
+    const size_t bytes = ints.size() * sizeof(int64_t);
+    KernelResult r{"crc32c", "bytes", 0, 0, static_cast<double>(bytes), 0};
+    Measure(&r, reps, [&] { return uint64_t{Crc32c(ints.data(), bytes)}; });
+    results.push_back(r);
   }
 
   for (const KernelResult& r : results) {
-    std::fprintf(stderr, "  %-18s scalar=%.3fs vector=%.3fs speedup=%.2fx\n",
+    std::fprintf(stderr, "  %-18s scalar=%.3fs vector=%.3fs speedup=%.2fx",
                  r.name, r.scalar_s, r.vector_s, Speedup(r));
+    if (std::strcmp(r.unit, "bytes") == 0 && r.scalar_s > 0 && r.vector_s > 0) {
+      const double gb = r.items * static_cast<double>(reps) / 1e9;
+      std::fprintf(stderr, " (%.2f -> %.2f GB/s)", gb / r.scalar_s,
+                   gb / r.vector_s);
+    }
+    std::fprintf(stderr, "\n");
   }
 
   // ---- JSON (stable key order; schema documented in docs/BENCHMARKS.md) --

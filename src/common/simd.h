@@ -1,6 +1,7 @@
 // Kernel dispatch for the data-parallel hot paths (predicate bitmaps in
 // query/kernels.h, block codec decode in storage/codec.cc, Eytzinger layout
-// lookups in layout/ and storage/shard_router.cc).
+// lookups in layout/ and storage/shard_router.cc, the block checksum in
+// common/crc32.cc).
 //
 // Every vectorized kernel keeps its scalar reference implementation and the
 // two sides are bit-identical — same match counts, same decoded bytes, same
@@ -48,6 +49,10 @@ bool VectorEnabled();
 /// True when the AVX2 kernel translation unit is built in AND the CPU
 /// reports AVX2 support at runtime.
 bool HasAvx2();
+
+/// True when the build targets x86-64 AND the CPU reports SSE4.2 at runtime
+/// (the `crc32` instruction behind common/crc32.h's Crc32c).
+bool HasSse42();
 
 /// Human-readable dispatch state, e.g. "avx2", "portable", "scalar(env)",
 /// "scalar(mode)" — recorded by bench/micro_kernels.

@@ -162,67 +162,73 @@ Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
         << "live view does not match the snapshot's partitioning";
   }
 
-  // Serial per-query preparation, in stream order: column projection and
-  // zone-map pruning are metadata-only, so the work list of (query,
-  // surviving partition) pairs — and its order — never depends on the pool.
-  struct Prepared {
-    Query projected;                 // conjuncts remapped to projected ranks
-    std::vector<std::string> needed; // projected column names, schema order
-    std::vector<uint32_t> survivors; // partition ids that must be scanned
-  };
-  std::vector<Prepared> prepared(queries.size());
+  // Serial per-query pruning, in stream order: zone maps are metadata only,
+  // so the work list of (query, surviving partition) pairs — and its order —
+  // never depends on the pool.
+  const size_t num_fields = snapshot.schema.num_fields();
+  std::vector<std::vector<uint32_t>> survivors(queries.size());
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    Prepared& prep = prepared[qi];
-    // Column projection: decode only the columns the query references, then
-    // evaluate a remapped copy of the query against the projected table.
-    // A conjunct-free full scan decodes every column (it represents e.g. the
-    // paper's full-table-scan measurement in Table I). The block reader
-    // returns projected columns in block (schema) order, so predicates are
-    // remapped to each column's rank among the referenced columns.
-    prep.projected = queries[qi];
-    std::set<int> referenced;
-    for (const Predicate& p : prep.projected.conjuncts) {
-      OREO_CHECK(p.column >= 0 &&
-                 static_cast<size_t>(p.column) < snapshot.schema.num_fields());
-      referenced.insert(p.column);
+    for (const Predicate& p : queries[qi].conjuncts) {
+      OREO_CHECK(p.column >= 0 && static_cast<size_t>(p.column) < num_fields);
     }
-    std::vector<int> position(snapshot.schema.num_fields(), -1);
-    for (int col : referenced) {  // std::set iterates ascending
-      position[static_cast<size_t>(col)] = static_cast<int>(prep.needed.size());
-      prep.needed.push_back(snapshot.schema.field(static_cast<size_t>(col)).name);
-    }
-    for (Predicate& p : prep.projected.conjuncts) {
-      p.column = position[static_cast<size_t>(p.column)];
-    }
-    prep.survivors = PartitionsToRead(parts, queries[qi]);
+    survivors[qi] = PartitionsToRead(parts, queries[qi]);
   }
 
-  // One flat ParallelFor over every (query, surviving partition) pair: a
-  // selective query with one survivor no longer serializes the batch — its
-  // single scan interleaves with the other queries' work. Each task stages
-  // its match count in its own slot.
-  struct ScanItem {
-    size_t qi;   // query index in the batch
-    size_t pid;  // partition id to scan
+  // The flat work list of (query, surviving partition) pairs in stream
+  // order, grouped by partition in first-appearance order: each surviving
+  // partition is fetched, checksummed and decoded once per batch, however
+  // many of the batch's queries it serves. First-appearance order puts the
+  // first query's partitions first, where the pool claims them first. A
+  // group decodes the columns its queries' conjuncts reference, or every
+  // column when one of them is a conjunct-free full scan (it represents
+  // e.g. the paper's full-table-scan measurement in Table I).
+  struct Item {
+    size_t index;  // slot in the flat (stream order, partition order) list
+    size_t qi;     // query index in the batch
   };
-  std::vector<ScanItem> items;
-  for (size_t qi = 0; qi < prepared.size(); ++qi) {
-    for (size_t pid : prepared[qi].survivors) items.push_back({qi, pid});
+  struct Group {
+    size_t pid = 0;
+    std::vector<Item> items;    // stream order
+    bool all_columns = false;   // some query of the group has no conjuncts
+    std::vector<bool> wanted;   // per schema field: referenced by a conjunct
+  };
+  std::vector<Group> groups;
+  size_t num_items = 0;
+  {
+    std::vector<size_t> group_of(parts.num_partitions(), SIZE_MAX);
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      for (size_t pid : survivors[qi]) {
+        if (group_of[pid] == SIZE_MAX) {
+          group_of[pid] = groups.size();
+          groups.emplace_back();
+          groups.back().pid = pid;
+          groups.back().wanted.assign(num_fields, false);
+        }
+        Group& group = groups[group_of[pid]];
+        group.items.push_back(Item{num_items++, qi});
+        if (queries[qi].conjuncts.empty()) group.all_columns = true;
+        for (const Predicate& p : queries[qi].conjuncts) {
+          group.wanted[static_cast<size_t>(p.column)] = true;
+        }
+      }
+    }
   }
+  std::vector<uint64_t> matches(num_items);
+  std::vector<Status> statuses(groups.size());
 
-  // Async prefetch tier: while the first query's survivors (the lowest item
-  // indices, claimed first by the pool) are scanning, warm the partitions
+  // Async prefetch tier: while the first query's survivors (the first
+  // groups, claimed first by the pool) are scanning, warm the partitions
   // the LATER queries of the batch will need. Partitions the first query
   // touches are excluded — a demand fetch for them is already imminent.
   // Advisory only: counters and results are identical with prefetch off.
-  if (prefetcher_ != nullptr && prepared.size() > 1) {
+  if (prefetcher_ != nullptr && queries.size() > 1) {
     std::set<std::string> scanning;
-    for (size_t pid : prepared[0].survivors) {
+    for (size_t pid : survivors[0]) {
       scanning.insert(snapshot.files[pid]);
     }
     std::set<std::string> requested;
-    for (size_t qi = 1; qi < prepared.size(); ++qi) {
-      for (size_t pid : prepared[qi].survivors) {
+    for (size_t qi = 1; qi < queries.size(); ++qi) {
+      for (size_t pid : survivors[qi]) {
         const std::string& file = snapshot.files[pid];
         if (scanning.count(file) == 0 && requested.insert(file).second) {
           prefetcher_->StartPrefetch(file);
@@ -231,43 +237,75 @@ Result<PhysicalStore::BatchExec> PhysicalStore::ExecuteQueryBatchOnSnapshot(
     }
   }
 
-  std::vector<uint64_t> matches(items.size());
-  std::vector<Status> statuses(items.size());
-  pool_->ParallelFor(items.size(), [&](size_t i) {
-    const Prepared& prep = prepared[items[i].qi];
+  // One ParallelFor over the groups: a task reads its partition once
+  // (ReadBlockFrom checksums the whole block every time), decodes the union
+  // of the columns its queries reference, and stages every item's match
+  // count in the item's own slot.
+  pool_->ParallelFor(groups.size(), [&](size_t g) {
+    const Group& group = groups[g];
+    // The decoded columns in schema (= block) order, and each column's rank
+    // among them — the column index a remapped predicate reads.
+    std::vector<std::string> needed;
+    std::vector<int> rank(num_fields, -1);
+    if (!group.all_columns) {
+      for (size_t col = 0; col < num_fields; ++col) {
+        if (!group.wanted[col]) continue;
+        rank[col] = static_cast<int>(needed.size());
+        needed.push_back(snapshot.schema.field(col).name);
+      }
+    }
     BlockReadOptions read_opts;
-    if (!prep.projected.conjuncts.empty()) read_opts.columns = &prep.needed;
+    if (!group.all_columns) read_opts.columns = &needed;
     Result<Table> part =
-        ReadBlockFrom(backend_.get(), snapshot.files[items[i].pid], read_opts);
+        ReadBlockFrom(backend_.get(), snapshot.files[group.pid], read_opts);
     if (!part.ok()) {
-      statuses[i] = part.status();
+      statuses[g] = part.status();
       return;
     }
-    if (masked) {
-      // Tombstone-respecting count: the partition's live mask word-ANDs the
-      // query bitmap (conjunct-free queries count the mask directly).
-      matches[i] = KernelCountMatchesMasked(
-          *part, prep.projected, live->partition_masks[items[i].pid]);
-    } else if (prep.projected.conjuncts.empty()) {
-      matches[i] = part->num_rows();
-    } else {
-      // Vectorized predicate kernels (query/kernels.h): each projected
-      // column is touched once per conjunct as a flat array, not
-      // dereferenced per row.
-      matches[i] = CountMatches(*part, prep.projected);
+    for (const Item& item : group.items) {
+      const Query& query = queries[item.qi];
+      // A full decode keeps schema positions, so the query applies as is;
+      // otherwise its conjuncts are remapped to ranks in the decoded union.
+      Query remapped;
+      if (!group.all_columns) {
+        remapped = query;
+        for (Predicate& p : remapped.conjuncts) {
+          p.column = rank[static_cast<size_t>(p.column)];
+        }
+      }
+      const Query& projected = group.all_columns ? query : remapped;
+      if (masked) {
+        // Tombstone-respecting count: the partition's live mask word-ANDs
+        // the query bitmap (conjunct-free queries count the mask directly).
+        matches[item.index] = KernelCountMatchesMasked(
+            *part, projected, live->partition_masks[group.pid]);
+      } else if (query.conjuncts.empty()) {
+        matches[item.index] = part->num_rows();
+      } else {
+        // Vectorized predicate kernels (query/kernels.h): each projected
+        // column is touched once per conjunct as a flat array, not
+        // dereferenced per row.
+        matches[item.index] = CountMatches(*part, projected);
+      }
     }
   });
-  // Flat order is (stream order, partition order), so the first error
-  // reported equals the one the per-query path would have returned.
+  // Groups are ordered by their first item, and a failed read fails every
+  // item of its group, so the first failed group holds the first failed
+  // item in (stream order, partition order): the error the per-query path
+  // would return.
   OREO_RETURN_NOT_OK(FirstError(statuses));
+  batch.blocks_fetched = groups.size();
+  for (const Group& group : groups) {
+    batch.bytes_verified += snapshot.file_bytes[group.pid];
+  }
 
   // Serial reduction in stream order, partitions in pid order within each
   // query — the exact sequence a one-at-a-time execution accumulates.
   batch.per_query.resize(queries.size());
   size_t item = 0;
-  for (size_t qi = 0; qi < prepared.size(); ++qi) {
+  for (size_t qi = 0; qi < queries.size(); ++qi) {
     QueryExec& exec = batch.per_query[qi];
-    for (size_t pid : prepared[qi].survivors) {
+    for (size_t pid : survivors[qi]) {
       ++exec.partitions_read;
       exec.bytes_read += snapshot.file_bytes[pid];
       exec.rows_scanned += parts.zones[pid].num_rows;

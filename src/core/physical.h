@@ -74,19 +74,28 @@ class PhysicalStore {
   /// Result of one batched execution: per-query counters (stream order) and
   /// the batch's wall clock. Per-query `seconds` fields are zero — scan work
   /// from the whole batch interleaves on the pool, so only the batch total
-  /// is meaningful.
+  /// is meaningful. Per-query counters are logical: a partition two queries
+  /// share counts in both. The batch-level counters are physical: each
+  /// surviving partition is fetched once per batch.
   struct BatchExec {
     double seconds = 0.0;
     std::vector<QueryExec> per_query;
+    /// Distinct partition blocks fetched, checksummed and decoded.
+    uint64_t blocks_fetched = 0;
+    /// Bytes of those blocks; the checksum covers each block whole.
+    uint64_t bytes_verified = 0;
   };
 
   /// Executes a whole batch against one snapshot of the materialized layout:
-  /// per-query zone-map pruning runs serially (metadata only), then one
-  /// ParallelFor over every (query, surviving partition) pair scans the
-  /// files, and per-query counters are reduced serially in stream order.
-  /// Counters are bit-identical to executing the queries one at a time; the
-  /// batch simply exposes cross-query parallelism to the pool (a selective
-  /// query no longer leaves workers idle).
+  /// per-query zone-map pruning runs serially (metadata only), and the
+  /// (query, surviving partition) pairs are grouped by partition in order of
+  /// first appearance. One ParallelFor over the groups then fetches each
+  /// partition once, verifies its whole-block checksum, decodes the union of
+  /// the columns its queries reference, and evaluates every query of the
+  /// group against it; per-query counters are reduced serially in stream
+  /// order. Per-query counters and the first error reported are
+  /// bit-identical to executing the queries one at a time, and the batch
+  /// counters are identical at any thread count.
   Result<BatchExec> ExecuteQueryBatch(const std::vector<Query>& queries);
 
   /// Full reorganization into `to`: reads every current partition file

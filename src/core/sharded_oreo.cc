@@ -343,6 +343,10 @@ Result<PhysicalStore::BatchExec> ShardedOreo::ExecuteBatchPhysical(
   });
   OREO_RETURN_NOT_OK(FirstError(statuses));
   // Serial reduction in stream order, shards ascending within a query.
+  for (const PhysicalStore::BatchExec& exec : execs) {
+    batch.blocks_fetched += exec.blocks_fetched;
+    batch.bytes_verified += exec.bytes_verified;
+  }
   batch.per_query.resize(queries.size());
   std::vector<size_t> cursor(n, 0);
   for (size_t qi = 0; qi < queries.size(); ++qi) {

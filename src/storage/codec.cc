@@ -68,40 +68,13 @@ bool ReadRaw(std::string_view data, size_t* pos, T* v) {
   return true;
 }
 
-// Vectorized decode paths. The wire format is untouched (encoders above are
-// the single source of truth); these only read it faster. Both return the
-// exact bytes and the exact Status the scalar loops in DecodeInt64 produce —
+// Vectorized decode path. The wire format is untouched (encoders above are
+// the single source of truth); this only reads it faster. It returns the
+// exact bytes and the exact Status the scalar loop in DecodeInt64 produces —
 // corruption and truncation are detected at the same points with the same
 // messages — pinned by the codec fuzz cases in tests/kernels_test.cc.
-// `out` is unspecified on a non-OK return (true of the scalar paths too:
-// they leave a partially-filled vector).
-
-// RLE: run headers are varint-decoded as before, but each run is expanded
-// with one bulk fill (resize-with-value into the reserved buffer) — exactly
-// one write per element. Pre-sizing the whole vector would zero-fill n
-// elements and then overwrite them: double the memory traffic of a decode
-// that is bandwidth-bound to begin with.
-Status DecodeRleFast(std::string_view data, size_t n,
-                     std::vector<int64_t>* out) {
-  size_t pos = 0;
-  while (out->size() < n) {
-    uint64_t run, zz;
-    if (!GetVarint64(data, &pos, &run) || !GetVarint64(data, &pos, &zz)) {
-      return Status::Corruption("truncated RLE chunk");
-    }
-    // `run > n - size` rather than `size + run > n`: the subtraction cannot
-    // wrap (size <= n), so an absurd 2^64-scale run cannot slip past the
-    // bound check.
-    if (run == 0 || run > n - out->size()) {
-      return Status::Corruption("RLE run overflows row count");
-    }
-    out->resize(out->size() + run, ZigZagDecode(zz));
-  }
-  if (pos != data.size()) {
-    return Status::Corruption("trailing bytes in RLE chunk");
-  }
-  return Status::OK();
-}
+// `out` is unspecified on a non-OK return (true of the scalar path too: it
+// leaves a partially-filled vector).
 
 // Delta-varint: sorted columns produce mostly small deltas, i.e. runs of
 // single-byte varints. Load 8 bytes at a time; when no continuation bit is
@@ -196,14 +169,16 @@ Status DecodeInt64(std::string_view data, Encoding enc, size_t n,
       return Status::OK();
     }
     case Encoding::kRle: {
-      if (simd::VectorEnabled()) return DecodeRleFast(data, n, out);
       size_t pos = 0;
       while (out->size() < n) {
         uint64_t run, zz;
         if (!GetVarint64(data, &pos, &run) || !GetVarint64(data, &pos, &zz)) {
           return Status::Corruption("truncated RLE chunk");
         }
-        if (run == 0 || out->size() + run > n) {
+        // `run > n - size` rather than `size + run > n`: the subtraction
+        // cannot wrap (size <= n), so an absurd 2^64-scale run cannot slip
+        // past the bound check.
+        if (run == 0 || run > n - out->size()) {
           return Status::Corruption("RLE run overflows row count");
         }
         int64_t v = ZigZagDecode(zz);

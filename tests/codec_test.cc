@@ -176,6 +176,15 @@ TEST(Int64CodecTest2, DecodeDetectsRleOverflow) {
   std::vector<int64_t> out;
   EXPECT_EQ(DecodeInt64(buf, Encoding::kRle, 10, &out).code(),
             StatusCode::kCorruption);
+  // So must a 2^64-scale run after a valid one: `size + run` would wrap
+  // below the row count.
+  std::string wrap;
+  PutVarint64(&wrap, 3);
+  PutVarint64(&wrap, ZigZagEncode(1));
+  PutVarint64(&wrap, std::numeric_limits<uint64_t>::max());
+  PutVarint64(&wrap, ZigZagEncode(1));
+  EXPECT_EQ(DecodeInt64(wrap, Encoding::kRle, 10, &out).code(),
+            StatusCode::kCorruption);
 }
 
 TEST(Int64CodecTest2, DecodeDetectsTrailingBytes) {

@@ -24,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "core/engine.h"
 #include "core/oreo.h"
 #include "layout/qdtree_layout.h"
@@ -167,16 +166,6 @@ int MaterializedState(const OreoEngine& engine, PhysicalStore& store) {
   return -1;
 }
 
-// CRC-32C of a partition block's payload — the checksum the block stores in
-// its trailer. (A CRC over the whole object, trailer included, is the same
-// constant residue for every valid block.)
-uint32_t PayloadCrc(StorageBackend& backend, const std::string& path) {
-  Result<std::string> data = backend.ReadBlock(path);
-  EXPECT_TRUE(data.ok()) << "cannot read " << path;
-  if (!data.ok() || data->size() < sizeof(uint32_t)) return 0;
-  return Crc32c(data->data(), data->size() - sizeof(uint32_t));
-}
-
 Golden RunGolden(size_t threads, bool shared_cache, const std::string& tag) {
   const Table table = testutil::MakeEventTable(kRows, kSeed);
   QdTreeGenerator gen;
@@ -226,7 +215,7 @@ Golden RunGolden(size_t threads, bool shared_cache, const std::string& tag) {
   g.num_switches = engine->num_switches();
   PhysicalStore& store = *engine->store(0);
   for (const std::string& file : store.GetSnapshot().files) {
-    g.crcs.push_back(PayloadCrc(*store.backend(), file));
+    g.crcs.push_back(testutil::BackendCrc(*store.backend(), file));
   }
   return g;
 }

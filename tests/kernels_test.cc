@@ -8,14 +8,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "catalog/schema.h"
+#include "common/crc32.h"
 #include "common/eytzinger.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "core/physical.h"
 #include "layout/sorted_layout.h"
 #include "layout/zorder_layout.h"
 #include "query/aggregate.h"
@@ -24,6 +27,7 @@
 #include "storage/codec.h"
 #include "storage/shard_router.h"
 #include "storage/table.h"
+#include "test_util.h"
 
 namespace oreo {
 namespace {
@@ -353,7 +357,7 @@ std::vector<int64_t> BoundaryBitwidthValues(uint64_t seed) {
       cur = static_cast<int64_t>(static_cast<uint64_t>(cur) +
                                  static_cast<uint64_t>(delta));
       vals.push_back(cur);
-      if (rng.Bernoulli(0.3)) vals.push_back(cur);  // runs for RLE
+      if (rng.Bernoulli(0.3)) vals.push_back(cur);  // zero deltas
     }
   }
   vals.push_back(kI64Min);
@@ -362,13 +366,9 @@ std::vector<int64_t> BoundaryBitwidthValues(uint64_t seed) {
 }
 
 TEST(CodecKernelTest, RoundTripBothModesAtBoundaryBitwidths) {
-  for (Encoding enc : {Encoding::kRle, Encoding::kDeltaVarint, Encoding::kPlain}) {
+  for (Encoding enc : {Encoding::kDeltaVarint, Encoding::kPlain}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       std::vector<int64_t> vals = BoundaryBitwidthValues(seed);
-      if (enc == Encoding::kRle) {
-        // RLE is only used on duplicate-heavy data but must round-trip any.
-        std::sort(vals.begin(), vals.end());
-      }
       std::string buf;
       EncodeInt64(vals, enc, &buf);
       std::vector<int64_t> scalar_out, vector_out;
@@ -464,6 +464,105 @@ TEST(CodecKernelTest, StringDictValidationIdenticalAcrossModes) {
       EXPECT_EQ(d1, d2);
     }
   }
+}
+
+// ----------------------------------------------------- block checksum ----
+
+TEST(Crc32cTest, KnownAnswer) {
+  const char* check = "123456789";  // the standard CRC-32C check value
+  EXPECT_EQ(Crc32c(check, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cScalar(check, 9), 0xE3069283u);
+  EXPECT_EQ(Crc32c(check, 0), 0u);
+}
+
+TEST(Crc32cTest, DispatchedMatchesTableAtEveryLengthOffsetAndInit) {
+  // Lengths 0..300 at byte offsets 0..7 cover every 8-byte-step/byte-tail
+  // split of the hardware loop at every alignment.
+  Rng rng(4242);
+  std::vector<uint8_t> buf(300 + 8);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (uint32_t init : {0u, 1u, 0xFFFFFFFFu, 0xE3069283u, 0x5A5A1234u}) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      for (size_t len = 0; len <= 300; ++len) {
+        ASSERT_EQ(Crc32c(buf.data() + offset, len, init),
+                  Crc32cScalar(buf.data() + offset, len, init))
+            << "init=" << init << " offset=" << offset << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cTest, ChainedExtensionEqualsOneShot) {
+  Rng rng(99);
+  std::vector<uint8_t> buf(257);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  const uint32_t whole = Crc32c(buf.data(), buf.size());
+  for (size_t split = 0; split <= buf.size(); ++split) {
+    const uint32_t head = Crc32c(buf.data(), split);
+    EXPECT_EQ(Crc32c(buf.data() + split, buf.size() - split, head), whole)
+        << split;
+    EXPECT_EQ(Crc32cScalar(buf.data() + split, buf.size() - split,
+                           Crc32cScalar(buf.data(), split)),
+              whole)
+        << split;
+  }
+}
+
+// A batch fetches each partition once and decodes only the columns its
+// queries reference, but the whole-block checksum still runs: one flipped
+// bit in a column no query projects, in a partition several queries of the
+// batch share, fails the batch with Corruption.
+TEST(Crc32cTest, BatchDetectsCorruptionInUnprojectedColumn) {
+  const Table t = testutil::MakeEventTable(2000, 5);  // {ts, qty, cat}
+  const LayoutInstance inst =
+      testutil::MakeSortedInstance(t, 0, 8, "by_ts", 3);
+  auto backend = MakeInMemoryBackend();
+  core::PhysicalStore store(testutil::ScratchDir("crc_wall"), 2, backend);
+  ASSERT_TRUE(store.MaterializeLayout(t, inst).ok());
+
+  // Every query's ts range contains 900..1100, so the partitions holding
+  // those rows survive for all of them; two also filter qty, and none
+  // references `cat`.
+  std::vector<Query> queries;
+  for (int64_t w = 0; w < 4; ++w) {
+    Query q;
+    q.conjuncts = {Predicate::Between(0, Value(int64_t{900} - 50 * w),
+                                      Value(int64_t{1100} + 50 * w))};
+    if (w % 2 == 1) {
+      q.conjuncts.push_back(Predicate::Le(1, Value(int64_t{500} + 100 * w)));
+    }
+    queries.push_back(std::move(q));
+  }
+  ASSERT_TRUE(store.ExecuteQueryBatch(queries).ok());
+
+  // A partition every query of the batch scans.
+  std::vector<uint32_t> shared = PartitionsToRead(inst.partitioning(),
+                                                  queries[0]);
+  for (const Query& q : queries) {
+    const std::vector<uint32_t> s = PartitionsToRead(inst.partitioning(), q);
+    std::vector<uint32_t> both;
+    std::set_intersection(shared.begin(), shared.end(), s.begin(), s.end(),
+                          std::back_inserter(both));
+    shared = std::move(both);
+  }
+  ASSERT_FALSE(shared.empty());
+
+  // `cat` is the block's last column, so the byte just before the 4-byte
+  // CRC trailer is the last byte of its payload.
+  const core::PhysicalStore::Snapshot snap = store.GetSnapshot();
+  ASSERT_EQ(snap.schema.field(snap.schema.num_fields() - 1).name, "cat");
+  const std::string& path = snap.files[shared.front()];
+  Result<std::string> bytes = backend->ReadBlock(path);
+  ASSERT_TRUE(bytes.ok());
+  std::string corrupt = *bytes;
+  corrupt[corrupt.size() - sizeof(uint32_t) - 1] ^= 0x01;
+  ASSERT_TRUE(backend->AtomicWriteBlock(path, corrupt, false).ok());
+
+  Result<core::PhysicalStore::BatchExec> exec =
+      store.ExecuteQueryBatch(queries);
+  ASSERT_FALSE(exec.ok());
+  EXPECT_EQ(exec.status().code(), StatusCode::kCorruption)
+      << exec.status().ToString();
 }
 
 // --------------------------------------------------------- dispatch ----

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
 
 #include "core/background.h"
 #include "core/physical.h"
@@ -69,6 +70,76 @@ TEST(PhysicalStoreTest, PruningSkipsPartitionsAndMatchesLogicalCount) {
   // Narrow ts range on the ts-sorted layout: most partitions skipped.
   EXPECT_LT(exec->partitions_read, 5u);
   EXPECT_LT(exec->rows_scanned, 4000u);
+}
+
+// A batch fetches, checksums and decodes each surviving partition once,
+// however many of its queries share it: `blocks_fetched` equals the number
+// of distinct surviving partitions and the base backend agrees, at any
+// thread count, while per-query counters equal one-at-a-time execution.
+// Without a full scan, partitions decode the union of their queries'
+// columns and predicates are remapped into it; a full scan touches every
+// partition, so with one every partition decodes all columns.
+TEST(PhysicalStoreTest, BatchFetchesEachSurvivingPartitionOnce) {
+  Table t = MakeTable(4000, 12);
+  LayoutInstance inst = SortedInstance(t, 0, 16, "by_ts");
+  // Overlapping ts ranges, plus queries on other and several columns, so
+  // the decoded union differs between partitions.
+  std::vector<Query> queries = testutil::MakeRangeWorkload(0, 4000, 900, 12, 7);
+  {
+    Query q;
+    q.conjuncts = {Predicate::Le(1, Value(int64_t{300}))};
+    queries.push_back(q);
+    q.conjuncts = {Predicate::Eq(2, Value("b")),
+                   Predicate::Between(0, Value(int64_t{1000}),
+                                      Value(int64_t{2500}))};
+    queries.push_back(q);
+    q.conjuncts = {Predicate::Ge(1, Value(int64_t{200})),
+                   Predicate::Lt(0, Value(int64_t{700}))};
+    queries.push_back(q);
+  }
+  for (bool full_scan : {false, true}) {
+    SCOPED_TRACE(full_scan ? "with a full scan" : "without a full scan");
+    if (full_scan) queries.insert(queries.begin() + 5, Query{});
+    std::set<uint32_t> distinct;
+    for (const Query& q : queries) {
+      for (uint32_t pid : PartitionsToRead(inst.partitioning(), q)) {
+        distinct.insert(pid);
+      }
+    }
+
+    std::vector<PhysicalStore::BatchExec> execs;
+    for (size_t threads : {size_t{1}, size_t{8}}) {
+      auto backend = MakeInMemoryBackend();
+      PhysicalStore store(TempDir("once_" + std::to_string(threads)), threads,
+                          backend);
+      ASSERT_TRUE(store.MaterializeLayout(t, inst).ok());
+      const PhysicalStore::Snapshot snap = store.GetSnapshot();
+      uint64_t distinct_bytes = 0;
+      for (uint32_t pid : distinct) distinct_bytes += snap.file_bytes[pid];
+
+      const uint64_t reads_before = backend->stats().reads;
+      auto exec = store.ExecuteQueryBatch(queries);
+      ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+      EXPECT_EQ(exec->blocks_fetched, distinct.size());
+      EXPECT_EQ(backend->stats().reads - reads_before, distinct.size());
+      EXPECT_EQ(exec->bytes_verified, distinct_bytes);
+
+      ASSERT_EQ(exec->per_query.size(), queries.size());
+      for (size_t qi = 0; qi < queries.size(); ++qi) {
+        auto one = store.ExecuteQuery(queries[qi]);
+        ASSERT_TRUE(one.ok());
+        const PhysicalStore::QueryExec& batched = exec->per_query[qi];
+        EXPECT_EQ(batched.partitions_read, one->partitions_read) << qi;
+        EXPECT_EQ(batched.bytes_read, one->bytes_read) << qi;
+        EXPECT_EQ(batched.rows_scanned, one->rows_scanned) << qi;
+        EXPECT_EQ(batched.matches, one->matches) << qi;
+        EXPECT_EQ(batched.matches, CountMatches(t, queries[qi])) << qi;
+      }
+      execs.push_back(std::move(*exec));
+    }
+    EXPECT_EQ(execs[0].blocks_fetched, execs[1].blocks_fetched);
+    EXPECT_EQ(execs[0].bytes_verified, execs[1].bytes_verified);
+  }
 }
 
 TEST(PhysicalStoreTest, ReorganizePreservesRowsExactly) {

@@ -21,6 +21,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -362,6 +363,47 @@ TEST(SharedBlockCacheTest, FailedPrefetchIsInvisibleToDemandReads) {
 // on its backend, and a batched scan warms the zone-map survivors of the
 // batch's later queries while the first one scans; results stay ground
 // truth.
+// Holds demand reads of `first_paths` until the cache's prefetch queue has
+// drained. A batch fetches each partition once and prefetches only what its
+// first query does not scan, so parking the first query's reads lets every
+// prefetch land before the scan reaches the partitions it warmed.
+class DrainFirstBackend : public StorageBackend {
+ public:
+  DrainFirstBackend(std::shared_ptr<StorageBackend> base,
+                    std::shared_ptr<SharedBlockCache> cache)
+      : base_(std::move(base)), cache_(std::move(cache)) {}
+
+  void set_first_paths(std::set<std::string> paths) {
+    first_paths_ = std::move(paths);
+  }
+
+  std::string name() const override { return "drain(" + base_->name() + ")"; }
+  Result<std::string> ReadBlock(const std::string& path) override {
+    if (first_paths_.count(path) != 0) cache_->DrainPrefetches();
+    return base_->ReadBlock(path);
+  }
+  Status AtomicWriteBlock(const std::string& path, const std::string& data,
+                          bool sync) override {
+    return base_->AtomicWriteBlock(path, data, sync);
+  }
+  Result<std::vector<std::string>> List(const std::string& dir) override {
+    return base_->List(dir);
+  }
+  Status Remove(const std::string& path) override {
+    return base_->Remove(path);
+  }
+  Status CreateDir(const std::string& dir) override {
+    return base_->CreateDir(dir);
+  }
+  Status Sync() override { return base_->Sync(); }
+  BackendStats stats() const override { return base_->stats(); }
+
+ private:
+  std::shared_ptr<StorageBackend> base_;
+  std::shared_ptr<SharedBlockCache> cache_;
+  std::set<std::string> first_paths_;  // set before the batch runs
+};
+
 TEST(SharedBlockCacheTest, PhysicalStorePrefetchesUpcomingQueries) {
   const uint64_t seed = 7;
   Table t = testutil::MakeEventTable(2000, seed);
@@ -369,14 +411,25 @@ TEST(SharedBlockCacheTest, PhysicalStorePrefetchesUpcomingQueries) {
   std::vector<Query> queries =
       testutil::MakeRangeWorkload(0, 2000, 400, 6, seed + 1);
 
-  auto base = MakeInMemoryBackend();
   SharedBlockCacheOptions options;
   options.prefetch_threads = 2;
   auto cache = MakeSharedBlockCache(options);
+  auto base = std::make_shared<DrainFirstBackend>(MakeInMemoryBackend(), cache);
   auto backend = MakeSharedCacheBackend(cache, base, /*shard=*/0);
   std::string dir = testutil::ScratchDir("shared_prefetch");
   core::PhysicalStore store(dir, /*num_threads=*/2, backend);
   ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
+
+  // Both scan threads start on the first query's partitions and park there
+  // until the prefetches are in the cache.
+  const std::vector<uint32_t> first =
+      PartitionsToRead(by_ts.partitioning(), queries[0]);
+  ASSERT_GE(first.size(), store.num_threads());
+  std::set<std::string> first_paths;
+  for (uint32_t pid : first) {
+    first_paths.insert(store.GetSnapshot().files[pid]);
+  }
+  base->set_first_paths(std::move(first_paths));
 
   auto exec = store.ExecuteQueryBatch(queries);
   cache->DrainPrefetches();  // settle the advisory fetches before counting
@@ -390,6 +443,8 @@ TEST(SharedBlockCacheTest, PhysicalStorePrefetchesUpcomingQueries) {
   }
   EXPECT_GT(cache->stats().hits, 0u)
       << "the warmed cache served nothing to the batch";
+  // Every prefetched partition served exactly one demand read.
+  EXPECT_EQ(cache->stats().hits, cache->stats().prefetch_fetches);
 }
 
 }  // namespace
