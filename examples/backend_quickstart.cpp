@@ -1,8 +1,10 @@
 // Storage-backend quickstart: the same engine, the same workload, three
-// physical byte stores — posix files, pure RAM, and a cached file store —
-// selected with one OreoOptions knob. The layout decisions (Theorem IV.1's
-// territory) are bit-identical on every backend; only where the bytes live
-// and how fast they come back differs.
+// physical byte stores — posix files, pure RAM, and posix files behind a
+// block cache — selected with two OreoOptions knobs: `storage_backend` says
+// where the bytes live, `shared_cache` puts a bounded block cache in front of
+// it. The layout decisions (Theorem IV.1's territory) are bit-identical on
+// every backend; only where the bytes live and how fast they come back
+// differs.
 //
 // Build & run:
 //   cmake -B build -G Ninja && cmake --build build
@@ -15,6 +17,7 @@
 #include "core/engine.h"
 #include "core/oreo.h"
 #include "layout/qdtree_layout.h"
+#include "storage/shared_cache.h"
 #include "workloads/dataset.h"
 #include "workloads/workload_gen.h"
 
@@ -32,12 +35,14 @@ struct RunReport {
 RunReport RunOn(const workloads::WorkloadDataset& ds,
                 const std::vector<Query>& queries,
                 std::shared_ptr<StorageBackend> backend,
+                std::shared_ptr<SharedBlockCache> cache,
                 const std::string& dir) {
   QdTreeGenerator generator;
   core::OreoOptions opts;
   opts.target_partitions = 16;
   opts.num_threads = 4;
-  opts.storage_backend = std::move(backend);  // <- the whole difference
+  opts.storage_backend = std::move(backend);  // <- where the bytes live
+  opts.shared_cache = std::move(cache);       // <- optional block cache
   auto engine = core::MakeEngine(&ds.table, &generator, ds.time_column, opts);
 
   std::filesystem::remove_all(dir);
@@ -77,15 +82,16 @@ int main() {
       (std::filesystem::temp_directory_path() / "oreo_backend_quickstart")
           .string();
 
-  std::shared_ptr<CachedBackend> cached = MakeCachedBackend(MakePosixBackend());
+  std::shared_ptr<SharedBlockCache> cache = MakeSharedBlockCache();
   struct Config {
     const char* label;
     std::shared_ptr<StorageBackend> backend;
+    std::shared_ptr<SharedBlockCache> cache;
   };
   Config configs[] = {
-      {"posix", MakePosixBackend()},
-      {"inmem", MakeInMemoryBackend()},
-      {"cached(posix)", cached},
+      {"posix", MakePosixBackend(), nullptr},
+      {"inmem", MakeInMemoryBackend(), nullptr},
+      {"cached(posix)", MakePosixBackend(), cache},
   };
 
   std::printf("%-14s %12s %9s %12s %9s\n", "backend", "query_cost",
@@ -93,8 +99,8 @@ int main() {
   RunReport first;
   bool have_first = false;
   for (Config& config : configs) {
-    RunReport r =
-        RunOn(ds, wl.queries, config.backend, base + "_" + config.label[0]);
+    RunReport r = RunOn(ds, wl.queries, config.backend, config.cache,
+                        base + "_" + config.label[0]);
     std::printf("%-14s %12.1f %9lld %12llu %9.3f\n", config.label,
                 r.query_cost, static_cast<long long>(r.switches),
                 static_cast<unsigned long long>(r.matches), r.seconds);
@@ -109,7 +115,7 @@ int main() {
     }
   }
 
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cache->stats();
   const uint64_t logical = stats.hit_bytes + stats.miss_bytes;
   std::printf("\ncached(posix): %llu hits / %llu misses; %.1f%% of logically "
               "read bytes never touched the file store\n",

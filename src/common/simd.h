@@ -12,8 +12,8 @@
 //
 //   1. the OREO_FORCE_SCALAR=1 environment variable (wins over everything;
 //      the CI forced-scalar job runs the whole suite under it),
-//   2. the process-wide mode set by SetGlobalKernelMode — OreoOptions::
-//      kernel_mode applies itself here at engine construction,
+//   2. the process-wide mode set by SetGlobalKernelMode (tests and benches
+//      pin kScalar through it),
 //   3. kAuto: vectorized kernels run, using the widest instruction set the
 //      build and the CPU both support (AVX2 when available, otherwise
 //      portable word-at-a-time branchless code the compiler auto-vectorizes).

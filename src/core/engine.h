@@ -191,6 +191,8 @@ class OreoEngine {
   /// `base_dir/shard_NNN` — materializes the current layouts, and starts the
   /// background rewrite pool (`reorg_workers` threads, 0 = one per shard).
   /// `store_threads` parallelizes scans and rewrites within each shard.
+  /// All or nothing: on error no shard keeps a store, has_physical() stays
+  /// false, and the call may be retried.
   virtual Status AttachPhysical(const std::string& base_dir,
                                 size_t store_threads = 1,
                                 size_t reorg_workers = 0) = 0;

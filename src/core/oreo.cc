@@ -38,11 +38,6 @@ mts::DumtsOptions ToDumtsOptions(const OreoOptions& o) {
 Oreo::Oreo(const Table* table, const LayoutGenerator* generator,
            int time_column, const OreoOptions& options)
     : options_(options), live_(table) {
-  // Process-wide by design (see OreoOptions::kernel_mode): kernels have no
-  // per-engine state, and results are bit-identical in every mode.
-  if (options.kernel_mode != simd::KernelMode::kAuto) {
-    simd::SetGlobalKernelMode(options.kernel_mode);
-  }
   manager_ = std::make_unique<LayoutManager>(table, generator, &registry_,
                                              ToManagerOptions(options));
   default_state_ = manager_->InitDefaultState(time_column);

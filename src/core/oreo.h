@@ -22,7 +22,6 @@
 
 #include <memory>
 
-#include "common/simd.h"
 #include "core/engine.h"
 #include "core/layout_manager.h"
 #include "core/simulator.h"
@@ -80,9 +79,9 @@ struct OreoOptions {
   ShardRouting shard_routing = ShardRouting::kHash;
   /// Physical byte store for AttachPhysical / replay (see
   /// storage/backend.h): nullptr = local posix files; MakeInMemoryBackend()
-  /// serves disklessly; MakeCachedBackend(...) adds a bounded block cache
-  /// with read coalescing. The determinism contract extends to backends:
-  /// costs, switches, traces and partition bytes are backend-invariant.
+  /// serves disklessly; `shared_cache` below puts a bounded block cache in
+  /// front of it. The determinism contract extends to backends: costs,
+  /// switches, traces and partition bytes are backend-invariant.
   std::shared_ptr<StorageBackend> storage_backend;
   /// Cross-shard tiered block cache (see storage/shared_cache.h). When set,
   /// every shard's store wraps `storage_backend` (or posix when null) in a
@@ -98,12 +97,6 @@ struct OreoOptions {
   /// overhead and the memory held by dead rows; <= 0 folds after every
   /// mutating batch, > 1 never folds automatically.
   double fold_threshold = 0.25;
-  /// Scan-kernel dispatch (common/simd.h): kAuto runs the vectorized
-  /// predicate/decode/lookup kernels, kScalar pins the scalar reference
-  /// implementations. Results are bit-identical either way (the OREO_FORCE_
-  /// SCALAR env var still wins over this knob). The mode is process-wide:
-  /// a non-kAuto value is applied globally at engine construction.
-  simd::KernelMode kernel_mode = simd::KernelMode::kAuto;
   uint64_t seed = 42;  ///< master seed; sub-components derive their own
 };
 

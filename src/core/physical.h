@@ -38,7 +38,7 @@ namespace core {
 class PhysicalStore {
  public:
   /// Files are created under `dir` (created if missing) through `backend`
-  /// (nullptr = the process-wide posix backend). Failure contract: a
+  /// (nullptr = a fresh MakePosixBackend()). Failure contract: a
   /// MaterializeLayout or Reorganize that returns non-OK has removed every
   /// object it wrote (no torn or orphaned partition files) and left the
   /// previously materialized layout fully readable.

@@ -31,7 +31,7 @@ Status ShardEngine::AttachPhysical(const std::string& dir,
   Result<PhysicalStore::Timing> timing = store_->MaterializeLayout(
       oreo_->base_table(), oreo_->registry().Get(current));
   if (!timing.ok()) {
-    store_.reset();
+    DetachPhysical();
     return timing.status();
   }
   materialized_state_ = current;
@@ -39,6 +39,15 @@ Status ShardEngine::AttachPhysical(const std::string& dir,
   snapshot_ = store_->GetSnapshot();
   oreo_->RebuildLiveView(snapshot_.instance);
   return Status::OK();
+}
+
+void ShardEngine::DetachPhysical() {
+  oreo_->RebuildLiveView(nullptr);
+  snapshot_ = PhysicalStore::Snapshot{};
+  store_.reset();
+  materialized_state_ = -1;
+  pending_target_.reset();
+  failed_target_.reset();
 }
 
 }  // namespace core

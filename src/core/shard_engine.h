@@ -48,6 +48,9 @@ class ShardEngine {
   /// Creates the shard's store under `dir` (`store_threads` scan/rewrite
   /// workers) and materializes the engine's current physical layout into it.
   Status AttachPhysical(const std::string& dir, size_t store_threads);
+  /// Drops the store and every piece of physical tracking state, so the
+  /// shard is logical-only again and AttachPhysical may run anew.
+  void DetachPhysical();
   bool has_physical() const { return store_ != nullptr; }
   PhysicalStore* store() { return store_.get(); }
 

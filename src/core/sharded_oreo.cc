@@ -309,8 +309,14 @@ Status ShardedOreo::AttachPhysical(const std::string& base_dir,
                                    size_t reorg_workers) {
   OREO_CHECK(reorg_pool_ == nullptr) << "physical layer already attached";
   for (auto& engine : engines_) {
-    OREO_RETURN_NOT_OK(engine->AttachPhysical(
-        ShardDirName(base_dir, engine->shard_id()), store_threads));
+    Status status = engine->AttachPhysical(
+        ShardDirName(base_dir, engine->shard_id()), store_threads);
+    if (!status.ok()) {
+      // All or nothing: the shards that did attach drop their stores too,
+      // so the engine is cleanly unattached and a retry starts afresh.
+      for (auto& attached : engines_) attached->DetachPhysical();
+      return status;
+    }
   }
   reorg_pool_ = std::make_unique<ReorgPool>(
       reorg_workers == 0 ? engines_.size() : reorg_workers);

@@ -200,16 +200,6 @@ Result<Table> ReadBlockFrom(StorageBackend* backend, const std::string& path,
   return DeserializeBlock(data, options);
 }
 
-Status WriteBlockFile(const std::string& path, const Table& table,
-                      bool sync) {
-  return WriteBlockTo(DefaultPosixBackend(), path, table, sync).status();
-}
-
-Result<Table> ReadBlockFile(const std::string& path,
-                            const BlockReadOptions& options) {
-  return ReadBlockFrom(DefaultPosixBackend(), path, options);
-}
-
 size_t SerializedBlockSize(const Table& table) {
   return SerializeBlock(table).size();
 }

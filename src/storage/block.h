@@ -48,14 +48,6 @@ Result<uint64_t> WriteBlockTo(StorageBackend* backend, const std::string& path,
 Result<Table> ReadBlockFrom(StorageBackend* backend, const std::string& path,
                             const BlockReadOptions& options = {});
 
-/// Legacy path-based round trip over DefaultPosixBackend().
-Status WriteBlockFile(const std::string& path, const Table& table,
-                      bool sync = false);
-
-/// Legacy path-based read over DefaultPosixBackend().
-Result<Table> ReadBlockFile(const std::string& path,
-                            const BlockReadOptions& options = {});
-
 /// Size in bytes of the serialized form (without writing).
 size_t SerializedBlockSize(const Table& table);
 

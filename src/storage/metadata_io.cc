@@ -189,13 +189,4 @@ Result<PartitionMetadata> ReadMetadataFrom(StorageBackend* backend,
   return DeserializePartitionMetadata(data);
 }
 
-Status WriteMetadataFile(const std::string& path,
-                         const PartitionMetadata& meta) {
-  return WriteMetadataTo(DefaultPosixBackend(), path, meta);
-}
-
-Result<PartitionMetadata> ReadMetadataFile(const std::string& path) {
-  return ReadMetadataFrom(DefaultPosixBackend(), path);
-}
-
 }  // namespace oreo

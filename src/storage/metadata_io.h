@@ -41,11 +41,6 @@ Status WriteMetadataTo(StorageBackend* backend, const std::string& path,
 Result<PartitionMetadata> ReadMetadataFrom(StorageBackend* backend,
                                            const std::string& path);
 
-/// Legacy path-based round trip over DefaultPosixBackend().
-Status WriteMetadataFile(const std::string& path,
-                         const PartitionMetadata& meta);
-Result<PartitionMetadata> ReadMetadataFile(const std::string& path);
-
 }  // namespace oreo
 
 #endif  // OREO_STORAGE_METADATA_IO_H_

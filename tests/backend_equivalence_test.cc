@@ -8,8 +8,9 @@
 //   2. Live streaming (AttachPhysical + RunBatch + ExecuteBatchPhysical +
 //      SyncPhysical with background rewrites) returns ground-truth matches
 //      on every backend and thread count.
-//   3. CachedBackend on/off is result-identical while measurably reducing
-//      the bytes fetched from the base backend (read amplification).
+//   3. OreoOptions::shared_cache on/off is result-identical while
+//      measurably reducing the bytes fetched from the base backend (read
+//      amplification).
 //
 // Runs under the TSan CI job (label `slow`).
 #include <gtest/gtest.h>
@@ -25,6 +26,7 @@
 #include "core/oreo.h"
 #include "core/sharded_oreo.h"
 #include "layout/qdtree_layout.h"
+#include "storage/shared_cache.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -224,7 +226,7 @@ TEST(BackendEquivalenceTest, StreamingMatchesGroundTruthOnEveryBackend) {
 // The cache read-amplification contract is measured on the fully
 // deterministic replay path (streaming reorg timing could legally vary the
 // number of rewrites, and with it the raw read totals).
-TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
+TEST(BackendEquivalenceTest, SharedCacheCutsBaseReadsWithoutChangingResults) {
   QdTreeGenerator gen;
   Table t = testutil::MakeEventTable(kRows, kSeed);
   std::vector<Query> stream = TwoPhaseStream();
@@ -237,11 +239,14 @@ TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
     std::vector<std::pair<std::string, uint32_t>> crcs;  // dir-relative
     uint64_t base_read_bytes = 0;
   };
-  auto run = [&](std::shared_ptr<StorageBackend> backend,
-                 StorageBackend* base, const std::string& tag) {
+  // `cache` null = uncached. Either way the engine stores into a fresh
+  // in-memory base, whose read counter measures what reached it.
+  auto run = [&](std::shared_ptr<SharedBlockCache> cache,
+                 const std::string& tag) {
     CacheRun r;
-    OreoOptions opts = BaseOpts(/*num_threads=*/8, /*num_shards=*/1,
-                                std::move(backend));
+    std::shared_ptr<StorageBackend> base = MakeInMemoryBackend();
+    OreoOptions opts = BaseOpts(/*num_threads=*/8, /*num_shards=*/1, base);
+    opts.shared_cache = cache;
     std::unique_ptr<OreoEngine> engine =
         MakeEngine(&t, &gen, /*time_column=*/0, opts);
     EngineSimResult sim = engine->RunTrace(stream, /*record_trace=*/true);
@@ -255,21 +260,21 @@ TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
       r.partitions_read = replay->partitions_read;
       r.matches = replay->matches;
     }
-    for (auto& [path, crc] :
-         testutil::DirCrcs(*opts.storage_backend, dir)) {
+    // Read the final layout back the way the engine's shard 0 does.
+    std::shared_ptr<StorageBackend> view =
+        WrapWithSharedCache(cache, base, /*shard=*/0);
+    for (auto& [path, crc] : testutil::DirCrcs(*view, dir)) {
       r.crcs.emplace_back(path.substr(dir.size()), crc);
     }
     r.base_read_bytes = base->stats().read_bytes;
     return r;
   };
 
-  std::shared_ptr<StorageBackend> plain = MakeInMemoryBackend();
-  CacheRun uncached = run(plain, plain.get(), "off");
+  CacheRun uncached = run(nullptr, "off");
   ASSERT_GT(uncached.num_switches, 0) << "fixture too tame";
 
-  std::shared_ptr<CachedBackend> cached =
-      MakeCachedBackend(MakeInMemoryBackend());
-  CacheRun with_cache = run(cached, cached->base(), "on");
+  std::shared_ptr<SharedBlockCache> cache = MakeSharedBlockCache();
+  CacheRun with_cache = run(cache, "on");
 
   // Result-identical: counters and the final partition bytes agree bit for
   // bit.
@@ -282,13 +287,17 @@ TEST(BackendEquivalenceTest, CachedBackendCutsBaseReadsWithoutChangingResults) {
   // And the cache actually absorbed reads: the base backend served
   // measurably fewer bytes than the uncached run's backend did for the
   // exact same (deterministic) operation sequence.
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cache->stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_LT(with_cache.base_read_bytes, uncached.base_read_bytes)
       << "the block cache never reduced base-backend read amplification";
   EXPECT_EQ(stats.hit_bytes,
             uncached.base_read_bytes - with_cache.base_read_bytes)
       << "every avoided base read must be accounted as hit bytes";
+  EXPECT_EQ(uncached.base_read_bytes, 582090u);
+  EXPECT_EQ(testutil::CacheCounters(stats, with_cache.base_read_bytes),
+            "hits=93 misses=45 coalesced=0 evictions=0 "
+            "invalidations=37 hit_bytes=461542 base_read_bytes=120548");
 }
 
 }  // namespace

@@ -1,25 +1,32 @@
 // StorageBackend unit wall: the interface contract (atomic publish, list,
 // remove, stats) for the posix and in-memory implementations, the
-// CachedBackend decorator (hit/miss determinism, LRU eviction, staleness
-// after writes), and the PhysicalStore failure contract (a failed
-// materialization or reorganization cleans up every object it wrote — no
-// torn partition files) proved with a fault-injecting backend test double.
+// single-tenant block cache — a shard-0 SharedCacheBackend view (hit/miss
+// determinism, LRU eviction, staleness after writes), and the failure
+// contracts proved with a fault-injecting backend test double: a failed
+// materialization or reorganization cleans up every object it wrote (no
+// torn partition files), and a failed sharded attach leaves no shard
+// attached.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/physical.h"
+#include "core/sharded_oreo.h"
+#include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
 #include "query/query.h"
 #include "storage/backend.h"
 #include "storage/block.h"
 #include "storage/metadata_io.h"
+#include "storage/shared_cache.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -107,8 +114,21 @@ TEST(StorageBackendTest, BlockAndMetadataBytesAreBackendInvariant) {
 
 // ------------------------------------------------------------ cached -----
 
-TEST(CachedBackendTest, HitMissAndInvalidation) {
-  auto cached = MakeCachedBackend(MakeInMemoryBackend());
+// A single-tenant block cache in front of `base`: the shard-0 view of a
+// private SharedBlockCache, the way a bare PhysicalStore reaches the cache.
+std::shared_ptr<SharedCacheBackend> MakeShardZeroCache(
+    std::shared_ptr<StorageBackend> base,
+    SharedBlockCacheOptions options = {}) {
+  return MakeSharedCacheBackend(MakeSharedBlockCache(options),
+                                std::move(base), /*shard=*/0);
+}
+
+// Every cache test below pins its exact counters (testutil::CacheCounters):
+// with no prefetching they are a deterministic function of the op sequence,
+// whatever the thread interleaving.
+
+TEST(SharedCacheBackendTest, HitMissAndInvalidation) {
+  auto cached = MakeShardZeroCache(MakeInMemoryBackend());
   const std::string path = "cache_unit/a.blk";
 
   ASSERT_TRUE(cached->AtomicWriteBlock(path, "v1", false).ok());
@@ -118,29 +138,38 @@ TEST(CachedBackendTest, HitMissAndInvalidation) {
   auto r2 = cached->ReadBlock(path);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(*r2, "v1");
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cached->cache()->stats();
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.hit_bytes, 2u);
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=1 coalesced=0 evictions=0 "
+            "invalidations=0 hit_bytes=2 base_read_bytes=2");
 
   // A write invalidates: the next read must see the new bytes (a miss).
   ASSERT_TRUE(cached->AtomicWriteBlock(path, "v2!", false).ok());
   auto r3 = cached->ReadBlock(path);
   ASSERT_TRUE(r3.ok());
   EXPECT_EQ(*r3, "v2!") << "cache served stale bytes after a write";
-  stats = cached->cache_stats();
+  stats = cached->cache()->stats();
   EXPECT_EQ(stats.misses, 2u);
   EXPECT_GE(stats.invalidations, 1u);
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=2 coalesced=0 evictions=0 "
+            "invalidations=1 hit_bytes=2 base_read_bytes=5");
 
   // Remove invalidates too; the read then fails like the base would.
   ASSERT_TRUE(cached->Remove(path).ok());
   EXPECT_FALSE(cached->ReadBlock(path).ok());
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=3 coalesced=0 evictions=0 "
+            "invalidations=2 hit_bytes=2 base_read_bytes=5");
 }
 
-TEST(CachedBackendTest, StrictLruEvictionNeverServesWrongBytes) {
-  CachedBackendOptions opts;
+TEST(SharedCacheBackendTest, StrictLruEvictionNeverServesWrongBytes) {
+  SharedBlockCacheOptions opts;
   opts.capacity_bytes = 8;  // fits exactly two 4-byte objects
-  auto cached = MakeCachedBackend(MakeInMemoryBackend(), opts);
+  auto cached = MakeShardZeroCache(MakeInMemoryBackend(), opts);
   ASSERT_TRUE(cached->AtomicWriteBlock("ev/a", "aaaa", false).ok());
   ASSERT_TRUE(cached->AtomicWriteBlock("ev/b", "bbbb", false).ok());
   ASSERT_TRUE(cached->AtomicWriteBlock("ev/c", "cccc", false).ok());
@@ -149,29 +178,35 @@ TEST(CachedBackendTest, StrictLruEvictionNeverServesWrongBytes) {
   EXPECT_EQ(*cached->ReadBlock("ev/b"), "bbbb");  // miss, cache {b, a}
   EXPECT_EQ(*cached->ReadBlock("ev/a"), "aaaa");  // hit, LRU order {a, b}
   EXPECT_EQ(*cached->ReadBlock("ev/c"), "cccc");  // miss, evicts b
-  CachedBackend::CacheStats stats = cached->cache_stats();
+  SharedCacheStats stats = cached->cache()->stats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.resident_objects, 2u);
   EXPECT_EQ(stats.resident_bytes, 8u);
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=3 coalesced=0 evictions=1 "
+            "invalidations=0 hit_bytes=4 base_read_bytes=12");
 
   EXPECT_EQ(*cached->ReadBlock("ev/b"), "bbbb");  // miss again (was evicted)
-  EXPECT_EQ(cached->cache_stats().misses, 4u);
-  EXPECT_EQ(cached->cache_stats().hits, 1u);
+  EXPECT_EQ(cached->cache()->stats().misses, 4u);
+  EXPECT_EQ(cached->cache()->stats().hits, 1u);
 
   // An object larger than the whole cache is served but never cached.
   ASSERT_TRUE(
       cached->AtomicWriteBlock("ev/huge", "123456789", false).ok());
   EXPECT_EQ(*cached->ReadBlock("ev/huge"), "123456789");
   EXPECT_EQ(*cached->ReadBlock("ev/huge"), "123456789");
-  EXPECT_EQ(cached->cache_stats().misses, 6u) << "oversized object cached";
-  EXPECT_LE(cached->cache_stats().resident_bytes, 8u);
+  EXPECT_EQ(cached->cache()->stats().misses, 6u) << "oversized object cached";
+  EXPECT_LE(cached->cache()->stats().resident_bytes, 8u);
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=6 coalesced=0 evictions=2 "
+            "invalidations=0 hit_bytes=4 base_read_bytes=34");
 }
 
 // Hit/miss accounting is thread-count invariant: one miss per distinct
 // partition, everything else hits (coalesced or cached), regardless of how
 // the pool interleaves the scan fan-out. A batch fetches each partition
 // once, so the hits come from running the batch a second time.
-TEST(CachedBackendTest, HitMissAccountingIsThreadCountInvariant) {
+TEST(SharedCacheBackendTest, HitMissAccountingIsThreadCountInvariant) {
   const uint64_t seed = 19;
   Table t = testutil::MakeEventTable(3000, seed);
   LayoutInstance by_ts = testutil::MakeSortedInstance(t, 0, 12, "by_ts", 3);
@@ -185,23 +220,29 @@ TEST(CachedBackendTest, HitMissAccountingIsThreadCountInvariant) {
   };
   std::vector<Counts> runs;
   for (size_t threads : {size_t{1}, size_t{8}}) {
-    auto cached = MakeCachedBackend(MakeInMemoryBackend());
+    auto cached = MakeShardZeroCache(MakeInMemoryBackend());
     std::string dir =
         testutil::ScratchDir("cache_det_" + std::to_string(threads));
     core::PhysicalStore store(dir, threads, cached);
     ASSERT_TRUE(store.MaterializeLayout(t, by_ts).ok());
     auto exec = store.ExecuteQueryBatch(queries);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-    CachedBackend::CacheStats stats = cached->cache_stats();
+    SharedCacheStats stats = cached->cache()->stats();
     EXPECT_GT(stats.misses, 0u);
     // One miss per distinct partition: the full scans touch every
     // partition, and the batch never fetches one from the base twice.
     EXPECT_EQ(stats.misses, store.GetSnapshot().files.size());
+    EXPECT_EQ(testutil::CacheCounters(*cached),
+              "hits=0 misses=12 coalesced=0 evictions=0 "
+              "invalidations=0 hit_bytes=0 base_read_bytes=39947");
     exec = store.ExecuteQueryBatch(queries);
     ASSERT_TRUE(exec.ok()) << exec.status().ToString();
-    stats = cached->cache_stats();
+    stats = cached->cache()->stats();
     EXPECT_GT(stats.hits, 0u);
     EXPECT_EQ(stats.misses, store.GetSnapshot().files.size());
+    EXPECT_EQ(testutil::CacheCounters(*cached),
+              "hits=12 misses=12 coalesced=0 evictions=0 "
+              "invalidations=0 hit_bytes=39947 base_read_bytes=39947");
     runs.push_back(Counts{stats.hits, stats.misses, stats.hit_bytes,
                           stats.miss_bytes});
   }
@@ -269,11 +310,11 @@ class GatedReadBackend : public StorageBackend {
 // A reader that coalesces onto a fetch doomed by a completed write must not
 // be served the pre-write bytes (the fetcher itself may keep them: its read
 // overlapped the write).
-TEST(CachedBackendTest, CoalescedReadAfterWriteNeverSeesStaleBytes) {
+TEST(SharedCacheBackendTest, CoalescedReadAfterWriteNeverSeesStaleBytes) {
   const std::string path = "gate/p.blk";
   auto gated =
       std::make_shared<GatedReadBackend>(MakeInMemoryBackend(), path);
-  auto cached = MakeCachedBackend(gated);
+  auto cached = MakeShardZeroCache(gated);
   ASSERT_TRUE(cached->AtomicWriteBlock(path, "v1", false).ok());
 
   std::string first_read;
@@ -308,11 +349,14 @@ TEST(CachedBackendTest, CoalescedReadAfterWriteNeverSeesStaleBytes) {
   auto r = cached->ReadBlock(path);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(*r, "v2");
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=1 misses=2 coalesced=0 evictions=0 "
+            "invalidations=0 hit_bytes=2 base_read_bytes=4");
 }
 
 // A reorganization swaps every partition; the cache must serve the new
 // layout's bytes afterwards (on/off runs agree query by query).
-TEST(CachedBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
+TEST(SharedCacheBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
   const uint64_t seed = 23;
   Table t = testutil::MakeEventTable(2500, seed);
   LayoutInstance by_ts = testutil::MakeSortedInstance(t, 0, 10, "by_ts", 3);
@@ -348,16 +392,19 @@ TEST(CachedBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
   };
 
   RunResult plain = run(MakeInMemoryBackend(), "cache_onoff_plain");
-  auto cached = MakeCachedBackend(MakeInMemoryBackend());
+  auto cached = MakeShardZeroCache(MakeInMemoryBackend());
   RunResult with_cache = run(cached, "cache_onoff_cached");
 
   EXPECT_EQ(plain.matches_before, with_cache.matches_before);
   EXPECT_EQ(plain.matches_after, with_cache.matches_after)
       << "cache served stale partitions across the reorganization";
   EXPECT_EQ(plain.crcs_after, with_cache.crcs_after);
-  EXPECT_GT(cached->cache_stats().hits, 0u);
-  EXPECT_GT(cached->cache_stats().invalidations, 0u)
+  EXPECT_GT(cached->cache()->stats().hits, 0u);
+  EXPECT_GT(cached->cache()->stats().invalidations, 0u)
       << "the reorganization never invalidated a cached partition";
+  EXPECT_EQ(testutil::CacheCounters(*cached),
+            "hits=20 misses=120 coalesced=0 evictions=0 "
+            "invalidations=110 hit_bytes=66573 base_read_bytes=106965");
 
   // The ground truth: every query's matches against the raw table.
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -368,15 +415,19 @@ TEST(CachedBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
 
 // ----------------------------------------------- failure propagation -----
 
-// Test double: forwards to a wrapped backend but fails the Nth write whose
-// path contains `fail_substring`.
+// Test double: forwards to a wrapped backend but, once `fail_after` writes
+// whose path contains `fail_substring` have succeeded, fails the next
+// `max_failures` such writes (all of them by default).
 class FaultInjectionBackend : public StorageBackend {
  public:
-  FaultInjectionBackend(std::shared_ptr<StorageBackend> base,
-                        std::string fail_substring, int64_t fail_after)
+  FaultInjectionBackend(
+      std::shared_ptr<StorageBackend> base, std::string fail_substring,
+      int64_t fail_after,
+      int64_t max_failures = std::numeric_limits<int64_t>::max())
       : base_(std::move(base)),
         fail_substring_(std::move(fail_substring)),
-        remaining_(fail_after) {}
+        remaining_(fail_after),
+        failures_left_(max_failures) {}
 
   std::string name() const override { return "fault(" + base_->name() + ")"; }
   Result<std::string> ReadBlock(const std::string& path) override {
@@ -385,7 +436,7 @@ class FaultInjectionBackend : public StorageBackend {
   Status AtomicWriteBlock(const std::string& path, const std::string& data,
                           bool sync) override {
     if (path.find(fail_substring_) != std::string::npos &&
-        remaining_.fetch_sub(1) <= 0) {
+        remaining_.fetch_sub(1) <= 0 && failures_left_.fetch_sub(1) > 0) {
       return Status::IoError("injected write failure: " + path);
     }
     return base_->AtomicWriteBlock(path, data, sync);
@@ -406,6 +457,7 @@ class FaultInjectionBackend : public StorageBackend {
   std::shared_ptr<StorageBackend> base_;
   std::string fail_substring_;
   std::atomic<int64_t> remaining_;
+  std::atomic<int64_t> failures_left_;
 };
 
 TEST(PhysicalStoreFaultTest, FailedMaterializationLeavesNoTornFiles) {
@@ -471,6 +523,66 @@ TEST(PhysicalStoreFaultTest, FailedReorganizationKeepsServingOldLayout) {
       ASSERT_TRUE(exec.ok()) << exec.status().ToString();
       EXPECT_EQ(exec->matches, CountMatches(t, q));
     }
+  }
+}
+
+// AttachPhysical is all or nothing: when one shard's materialization fails,
+// the shards that had already attached drop their stores too, so the engine
+// is cleanly logical-only and a retry attaches every shard afresh.
+TEST(PhysicalStoreFaultTest, FailedShardedAttachIsAllOrNothing) {
+  const uint64_t seed = 27;
+  Table t = testutil::MakeEventTable(3000, seed);
+  QdTreeGenerator gen;
+  QueryBatch batch = MakeBatches(
+      testutil::MakeRangeWorkload(0, 3000, 150, 64, seed + 1), 64).front();
+
+  core::OreoOptions opts;
+  opts.seed = seed;
+  opts.num_threads = 2;
+  opts.num_shards = 3;
+  opts.shard_routing = ShardRouting::kRange;
+  opts.target_partitions = 8;
+  opts.dataset_sample_rows = 400;
+  auto run_batch = [&](core::ShardedOreo& engine) {
+    std::vector<uint64_t> matches;
+    engine.RunBatch(batch);
+    auto exec = engine.ExecuteBatchPhysical(batch.queries);
+    EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+    if (!exec.ok()) return matches;
+    for (const auto& per_query : exec->per_query) {
+      matches.push_back(per_query.matches);
+    }
+    return matches;
+  };
+
+  opts.storage_backend = MakeInMemoryBackend();
+  core::ShardedOreo reference(&t, &gen, /*time_column=*/0, opts);
+  ASSERT_TRUE(
+      reference.AttachPhysical(testutil::ScratchDir("attach_retry_ref")).ok());
+  std::vector<uint64_t> expected = run_batch(reference);
+
+  // Fails the first write under shard_001, and only that one.
+  opts.storage_backend = std::make_shared<FaultInjectionBackend>(
+      MakeInMemoryBackend(), "shard_001", /*fail_after=*/0,
+      /*max_failures=*/1);
+  core::ShardedOreo engine(&t, &gen, /*time_column=*/0, opts);
+  std::string dir = testutil::ScratchDir("attach_retry");
+  Status first = engine.AttachPhysical(dir);
+  EXPECT_EQ(first.code(), StatusCode::kIoError) << first.ToString();
+  EXPECT_FALSE(engine.has_physical());
+  for (size_t s = 0; s < engine.num_shards(); ++s) {
+    EXPECT_EQ(engine.store(s), nullptr) << "shard " << s << " kept a store";
+    EXPECT_FALSE(engine.engine(s).has_physical()) << "shard " << s;
+  }
+
+  Status retry = engine.AttachPhysical(dir);
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  EXPECT_TRUE(engine.has_physical());
+  std::vector<uint64_t> matches = run_batch(engine);
+  EXPECT_EQ(matches, expected);
+  ASSERT_EQ(matches.size(), batch.queries.size());
+  for (size_t i = 0; i < matches.size(); ++i) {
+    EXPECT_EQ(matches[i], CountMatches(t, batch.queries[i])) << "query " << i;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "common/rng.h"
 #include "storage/block.h"
@@ -46,15 +47,17 @@ TEST(BlockTest, SingleRowRoundTrip) {
 TEST(BlockTest, FileRoundTrip) {
   Table t = MakeTable(300, 3);
   std::string path = fs::temp_directory_path() / "oreo_block_test.blk";
-  ASSERT_TRUE(WriteBlockFile(path, t).ok());
-  Result<Table> out = ReadBlockFile(path);
+  std::shared_ptr<StorageBackend> posix = MakePosixBackend();
+  ASSERT_TRUE(WriteBlockTo(posix.get(), path, t).ok());
+  Result<Table> out = ReadBlockFrom(posix.get(), path);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   ExpectTablesEqual(t, *out);
   fs::remove(path);
 }
 
 TEST(BlockTest, ReadMissingFileIsIoError) {
-  Result<Table> out = ReadBlockFile("/nonexistent/dir/nope.blk");
+  Result<Table> out =
+      ReadBlockFrom(MakePosixBackend().get(), "/nonexistent/dir/nope.blk");
   EXPECT_EQ(out.status().code(), StatusCode::kIoError);
 }
 
@@ -167,8 +170,9 @@ TEST(BlockTest, ProjectionStillValidatesChecksum) {
 TEST(BlockTest, SyncedWriteRoundTrips) {
   Table t = MakeTable(50, 12);
   std::string path = fs::temp_directory_path() / "oreo_block_sync.blk";
-  ASSERT_TRUE(WriteBlockFile(path, t, /*sync=*/true).ok());
-  Result<Table> out = ReadBlockFile(path);
+  std::shared_ptr<StorageBackend> posix = MakePosixBackend();
+  ASSERT_TRUE(WriteBlockTo(posix.get(), path, t, /*sync=*/true).ok());
+  Result<Table> out = ReadBlockFrom(posix.get(), path);
   ASSERT_TRUE(out.ok());
   ExpectTablesEqual(t, *out);
   fs::remove(path);

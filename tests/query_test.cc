@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 
 #include "common/rng.h"
 #include "query/aggregate.h"
@@ -389,8 +390,9 @@ TEST(MetadataTest, FileRoundTripAndCorruption) {
   Partitioning p = BuildPartitioning(t, assignment, 1);
   PartitionMetadata meta = MetadataFrom(t.schema(), p, "single");
   std::string path = testutil::ScratchDir("meta_test.bin");
-  ASSERT_TRUE(WriteMetadataFile(path, meta).ok());
-  Result<PartitionMetadata> back = ReadMetadataFile(path);
+  std::shared_ptr<StorageBackend> posix = MakePosixBackend();
+  ASSERT_TRUE(WriteMetadataTo(posix.get(), path, meta).ok());
+  Result<PartitionMetadata> back = ReadMetadataFrom(posix.get(), path);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->zones.size(), 1u);
 

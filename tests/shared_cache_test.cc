@@ -1,6 +1,6 @@
-// SharedBlockCache contracts: the cross-shard tiered cache behind both
-// CachedBackend (single-tenant view) and the per-shard SharedCacheBackend
-// views.
+// SharedBlockCache contracts: the cross-shard tiered cache behind the
+// per-shard SharedCacheBackend views (shard 0 alone is the single-tenant
+// cache a bare PhysicalStore uses).
 //
 //   1. The doomed-fetch window is closed: a fetch that STARTS while a
 //      mutation of the same path is active (Remove/AtomicWriteBlock still
@@ -108,13 +108,12 @@ class GatedOpBackend : public StorageBackend {
 // bytes. Serving them to that reader is legal (its read overlapped the
 // write); caching them is the bug: a read issued after the write returns
 // would then hit stale bytes forever.
-template <typename MakeBackend>
-void RunWriteRaceRegression(MakeBackend make_backend) {
+void RunWriteRaceRegression(uint32_t shard) {
   const std::string path = "race/w.blk";
   auto base = MakeInMemoryBackend();
   auto gated = std::make_shared<GatedOpBackend>(
       base, GatedOpBackend::Gate::kWrite, path);
-  std::shared_ptr<StorageBackend> backend = make_backend(gated);
+  auto backend = MakeSharedCacheBackend(MakeSharedBlockCache(), gated, shard);
   ASSERT_TRUE(base->AtomicWriteBlock(path, "old", false).ok());
 
   std::thread writer([&] {
@@ -137,17 +136,19 @@ void RunWriteRaceRegression(MakeBackend make_backend) {
   EXPECT_EQ(*after, "new")
       << "a fetch overlapping the write repopulated the cache with stale "
          "bytes";
+  EXPECT_EQ(testutil::CacheCounters(*backend),
+            "hits=0 misses=2 coalesced=0 evictions=0 "
+            "invalidations=0 hit_bytes=0 base_read_bytes=6");
 }
 
 // Remove flavor of the same window: the doomed fetch must not resurrect a
 // deleted object.
-template <typename MakeBackend>
-void RunRemoveRaceRegression(MakeBackend make_backend) {
+void RunRemoveRaceRegression(uint32_t shard) {
   const std::string path = "race/d.blk";
   auto base = MakeInMemoryBackend();
   auto gated = std::make_shared<GatedOpBackend>(
       base, GatedOpBackend::Gate::kRemove, path);
-  std::shared_ptr<StorageBackend> backend = make_backend(gated);
+  auto backend = MakeSharedCacheBackend(MakeSharedBlockCache(), gated, shard);
   ASSERT_TRUE(base->AtomicWriteBlock(path, "doomed", false).ok());
 
   std::thread remover(
@@ -164,32 +165,25 @@ void RunRemoveRaceRegression(MakeBackend make_backend) {
   Result<std::string> after = backend->ReadBlock(path);
   EXPECT_FALSE(after.ok())
       << "a fetch overlapping the remove resurrected the deleted object";
+  EXPECT_EQ(testutil::CacheCounters(*backend),
+            "hits=0 misses=2 coalesced=0 evictions=0 "
+            "invalidations=0 hit_bytes=0 base_read_bytes=6");
 }
 
-TEST(SharedCacheRaceTest, CachedBackendWriteRaceNeverCachesStaleBytes) {
-  RunWriteRaceRegression([](std::shared_ptr<StorageBackend> gated) {
-    return MakeCachedBackend(std::move(gated));
-  });
-}
-
-TEST(SharedCacheRaceTest, CachedBackendRemoveRaceNeverResurrectsObject) {
-  RunRemoveRaceRegression([](std::shared_ptr<StorageBackend> gated) {
-    return MakeCachedBackend(std::move(gated));
-  });
-}
-
+// Shard 0 is the single-tenant cache of a bare PhysicalStore; shard 3 is
+// one view of a multi-shard engine. The window must be closed for both.
 TEST(SharedCacheRaceTest, SharedViewWriteRaceNeverCachesStaleBytes) {
-  RunWriteRaceRegression([](std::shared_ptr<StorageBackend> gated) {
-    return MakeSharedCacheBackend(MakeSharedBlockCache(), std::move(gated),
-                                  /*shard=*/3);
-  });
+  for (uint32_t shard : {0u, 3u}) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    RunWriteRaceRegression(shard);
+  }
 }
 
 TEST(SharedCacheRaceTest, SharedViewRemoveRaceNeverResurrectsObject) {
-  RunRemoveRaceRegression([](std::shared_ptr<StorageBackend> gated) {
-    return MakeSharedCacheBackend(MakeSharedBlockCache(), std::move(gated),
-                                  /*shard=*/3);
-  });
+  for (uint32_t shard : {0u, 3u}) {
+    SCOPED_TRACE("shard " + std::to_string(shard));
+    RunRemoveRaceRegression(shard);
+  }
 }
 
 TEST(SharedBlockCacheTest, SingleFlightDedupSpansShards) {

@@ -21,6 +21,7 @@
 #include "layout/sorted_layout.h"
 #include "query/query.h"
 #include "storage/backend.h"
+#include "storage/shared_cache.h"
 #include "storage/table.h"
 
 namespace oreo {
@@ -230,6 +231,25 @@ inline std::vector<std::pair<std::string, uint32_t>> DirCrcs(
     crcs.emplace_back(path, BackendCrc(backend, path));
   }
   return crcs;
+}
+
+// The exact counters a deterministic block-cache test pins, as one
+// comparable line: the cache's accounting plus the bytes its base backend
+// served.
+inline std::string CacheCounters(const SharedCacheStats& s,
+                                 uint64_t base_read_bytes) {
+  return "hits=" + std::to_string(s.hits) +
+         " misses=" + std::to_string(s.misses) +
+         " coalesced=" + std::to_string(s.coalesced) +
+         " evictions=" + std::to_string(s.evictions) +
+         " invalidations=" + std::to_string(s.invalidations) +
+         " hit_bytes=" + std::to_string(s.hit_bytes) +
+         " base_read_bytes=" + std::to_string(base_read_bytes);
+}
+
+inline std::string CacheCounters(const SharedCacheBackend& cached) {
+  return CacheCounters(cached.cache()->stats(),
+                       cached.base()->stats().read_bytes);
 }
 
 // Harmonic number H(n) — the paper's competitive bounds are stated as
