@@ -134,8 +134,11 @@ RunResult RunOnce(const Table& t, const LayoutInstance& by_ts,
     SharedCacheStats stats = cfg.cached->cache()->stats();
     r.cache_hits = stats.hits;
     r.cache_misses = stats.misses;
-    r.logical_read_bytes = stats.hit_bytes + stats.miss_bytes;
+    // Every byte the store read: served by the cache, or read from the
+    // base (cache misses, plus the reorganization's spill runs, which
+    // bypass the cache).
     r.base_read_bytes = cfg.cached->base()->stats().read_bytes;
+    r.logical_read_bytes = stats.hit_bytes + r.base_read_bytes;
   }
   fs::remove_all(dir);
   return r;

@@ -12,6 +12,10 @@
 //   eytzinger_lookup  sorted-boundary rank lookups vs std::lower_bound
 //   codec_delta       delta-varint int64 decode (block fast path)
 //   crc32c            block checksum: table loop vs SSE4.2 crc32, in bytes
+//   qdtree_generate   greedy Qd-tree build (per-cut and per-query match
+//                     bitmaps over a sample), in sample rows
+//   qdtree_assign     Qd-tree routing of every row (one cut bitmap per
+//                     inner node, then bit tests), in rows
 //
 // Flags: --rows=N (default 10M) --probes=N --reps=N --seed=N
 //        --out=path.json (default: BENCH_kernels.json in the working
@@ -30,6 +34,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/stopwatch.h"
+#include "layout/qdtree_layout.h"
 #include "query/kernels.h"
 #include "storage/codec.h"
 
@@ -198,6 +203,52 @@ int Main(int argc, char** argv) {
     KernelResult r{"crc32c", "bytes", 0, 0, static_cast<double>(bytes), 0};
     Measure(&r, reps, [&] { return uint64_t{Crc32c(ints.data(), bytes)}; });
     results.push_back(r);
+  }
+
+  // ---- Qd-tree generation and routing (the layout decision layer) ------
+  {
+    // The engine builds candidates on a dataset sample against a window of
+    // recent queries; mix int, double and string cuts.
+    Rng wrng(seed + 2);
+    const char* cat_bounds[] = {"ab", "ba", "ca", "db"};
+    std::vector<Query> workload(200);
+    for (Query& q : workload) {
+      const int64_t lo = wrng.UniformInt(0, 900'000);
+      q.conjuncts.push_back(
+          Predicate::Between(0, Value(lo), Value(lo + int64_t{100'000})));
+      if (wrng.Bernoulli(0.5)) {
+        q.conjuncts.push_back(
+            Predicate::Lt(1, Value(wrng.UniformDouble(0.0, 1'000'000.0))));
+      }
+      if (wrng.Bernoulli(0.3)) {
+        q.conjuncts.push_back(
+            Predicate::Lt(2, Value(std::string(cat_bounds[wrng.Uniform(4)]))));
+      }
+    }
+    Rng srng(seed + 3);
+    Table sample = t.SampleRows(std::min<size_t>(rows, 20'000), &srng);
+    QdTreeGenerator gen;
+    // Both checksums fold each row's partition id, so a tree or a routing
+    // that differs between the modes fails the CHECK.
+    auto assignment_sum = [](const std::vector<uint32_t>& assignment) {
+      uint64_t sum = 0;
+      for (size_t r = 0; r < assignment.size(); ++r) {
+        sum += (r + 1) * (uint64_t{assignment[r]} + 1);
+      }
+      return sum;
+    };
+    KernelResult rg{"qdtree_generate", "rows", 0, 0,
+                    static_cast<double>(sample.num_rows()), 0};
+    Measure(&rg, reps, [&] {
+      return assignment_sum(gen.Generate(sample, workload, 32)->Assign(sample));
+    });
+    results.push_back(rg);
+
+    std::unique_ptr<Layout> tree = gen.Generate(sample, workload, 32);
+    KernelResult ra{"qdtree_assign", "rows", 0, 0, static_cast<double>(rows),
+                    0};
+    Measure(&ra, reps, [&] { return assignment_sum(tree->Assign(t)); });
+    results.push_back(ra);
   }
 
   for (const KernelResult& r : results) {

@@ -1,5 +1,7 @@
 // Micro-benchmark for the thread-pool-parallel physical engine: scan and
-// reorganization throughput at 1/2/4/8 worker threads (or --threads=CSV).
+// reorganization throughput at 1/2/4/8 store threads (or --threads=CSV).
+// Scans fan out over the store pool; a reorganization runs serially on the
+// calling thread, so its column is the flat reference beside them.
 // Emits a JSON document so the perf trajectory of the scaling dial can be
 // recorded run over run; correctness is cross-checked against the serial
 // baseline while measuring (the determinism contract says every counter

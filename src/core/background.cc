@@ -2,6 +2,10 @@
 
 #include <algorithm>
 
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
+
 #include "common/logging.h"
 
 namespace oreo {
@@ -136,6 +140,13 @@ void ReorgPool::WorkerLoop() {
       }
     }
     idle_cv_.notify_all();
+#ifdef __GLIBC__
+    // A rewrite runs serially on this worker, so glibc serves its shuffle
+    // and merge tables from this thread's own malloc arena, and the freed
+    // pages would otherwise stay resident until the next rewrite reuses
+    // them. Hand them back once the shard is idle again.
+    malloc_trim(0);
+#endif
   }
 }
 

@@ -190,7 +190,8 @@ class OreoEngine {
   /// OreoOptions::storage_backend) stores — one per shard, under
   /// `base_dir/shard_NNN` — materializes the current layouts, and starts the
   /// background rewrite pool (`reorg_workers` threads, 0 = one per shard).
-  /// `store_threads` parallelizes scans and rewrites within each shard.
+  /// `store_threads` parallelizes scans within each shard; each rewrite runs
+  /// serially on a reorg worker.
   /// All or nothing: on error no shard keeps a store, has_physical() stays
   /// false, and the call may be retried.
   virtual Status AttachPhysical(const std::string& base_dir,

@@ -143,7 +143,8 @@ double Oreo::LiveCost(int state, const Query& query) const {
   return (base_cost * b + d) / (b + static_cast<double>(delta));
 }
 
-Result<IngestResult> Oreo::Ingest(IngestBatch batch) {
+Result<IngestResult> Oreo::Ingest(IngestBatch batch,
+                                  const std::function<void()>& before_fold) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
   const Schema& schema = live_.base().schema();
   if (batch.rows.num_rows() > 0 && !batch.rows.schema().Equals(schema)) {
@@ -185,6 +186,7 @@ Result<IngestResult> Oreo::Ingest(IngestBatch batch) {
 
   if (live_.has_mutations() &&
       live_.MutationFraction() >= options_.fold_threshold) {
+    if (before_fold) before_fold();
     Fold();
     result.folded = true;
   }

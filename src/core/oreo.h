@@ -20,6 +20,7 @@
 #ifndef OREO_CORE_OREO_H_
 #define OREO_CORE_OREO_H_
 
+#include <functional>
 #include <memory>
 
 #include "core/engine.h"
@@ -155,9 +156,13 @@ class Oreo {
   /// to builds without this subsystem. Crossing fold_threshold triggers the
   /// compaction fold (tombstones drop, deltas merge into a fresh base, every
   /// registry state rematerializes, the manager's dataset sample redraws;
-  /// the facade then rebuilds the shard's physical layout). Single-caller
+  /// the facade then rebuilds the shard's physical layout). `before_fold`,
+  /// when set, runs after the batch is committed and right before a fold,
+  /// and only then: the facade quiesces the background rewrites that read
+  /// the base table and registry instances a fold replaces. Single-caller
   /// contract applies, like Step/RunBatch.
-  Result<IngestResult> Ingest(IngestBatch batch);
+  Result<IngestResult> Ingest(
+      IngestBatch batch, const std::function<void()>& before_fold = nullptr);
 
   /// The mutable logical table (base + deltas + tombstone masks).
   const ingest::LiveTable& live() const { return live_; }
@@ -208,7 +213,8 @@ class Oreo {
   /// the registry's base cost exactly when no mutations are pending.
   double LiveCost(int state, const Query& query) const;
   /// The compaction fold (see Ingest): logical only — the facade quiesces
-  /// background rewrites first and rematerializes the shard's store after.
+  /// background rewrites first (Ingest's `before_fold`) and rematerializes
+  /// the shard's store after.
   void Fold();
 
   OreoOptions options_;

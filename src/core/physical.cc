@@ -6,6 +6,7 @@
 #include "common/stopwatch.h"
 #include "query/kernels.h"
 #include "storage/block.h"
+#include "storage/shared_cache.h"
 
 namespace oreo {
 namespace core {
@@ -44,6 +45,10 @@ PhysicalStore::PhysicalStore(std::string dir, size_t num_threads,
       backend_(backend != nullptr ? std::move(backend) : MakePosixBackend()),
       prefetcher_(dynamic_cast<BlockPrefetcher*>(backend_.get())),
       pool_(std::make_unique<ThreadPool>(num_threads)) {
+  // Spill runs are written once and read once, so they bypass a block
+  // cache: caching one would only evict partitions and then invalidate it.
+  auto* cached = dynamic_cast<SharedCacheBackend*>(backend_.get());
+  spill_backend_ = cached != nullptr ? cached->base() : backend_.get();
   Status st = backend_->CreateDir(dir_);
   OREO_CHECK(st.ok()) << st.ToString();
 }
@@ -354,28 +359,31 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     epoch = epoch_;
   }
 
+  // Both passes run on the calling thread (a ReorgPool worker for the
+  // engine), never on the store pool: that pool serves foreground scans, and
+  // a rewrite that took its workers would stall them.
+  //
   // Pass 1 — shuffle: read and decompress every current partition, route its
   // rows through the new layout (the "update the BID column" step), and
-  // spill one run file per (source, target) pair. Real systems repartition
-  // out-of-core exactly like this; the table cannot be assumed to fit in
-  // memory. Sources shuffle in parallel: every task writes only spill files
-  // named after its own source id and its own result slot; the per-target
-  // run lists are then assembled serially in source order, so the merge pass
-  // concatenates runs in the exact order a serial shuffle would.
-  struct ShuffleResult {
-    uint64_t rows = 0;
-    std::vector<std::pair<uint32_t, std::string>> runs;  // (target, path)
-    Status status;
+  // spill one run file per (source, target) pair, in source order. Real
+  // systems repartition out-of-core exactly like this; the table cannot be
+  // assumed to fit in memory. Spill runs go beneath any block cache.
+  uint64_t rows_read = 0;
+  std::vector<std::vector<std::string>> spills(raw_partitions);
+  // Partial-write cleanup on failure: drop every spill run written so far;
+  // the source layout is untouched and keeps serving.
+  auto drop_spills = [&] {
+    for (const auto& per_target : spills) {
+      BestEffortRemoveAll(spill_backend_, per_target);
+    }
   };
-  std::vector<ShuffleResult> shuffled(source.files.size());
-  pool_->ParallelFor(source.files.size(), [&](size_t src) {
-    ShuffleResult& out = shuffled[src];
+  for (size_t src = 0; src < source.files.size(); ++src) {
     Result<Table> part = ReadBlockFrom(backend_.get(), source.files[src]);
     if (!part.ok()) {
-      out.status = part.status();
-      return;
+      drop_spills();
+      return part.status();
     }
-    out.rows = part->num_rows();
+    rows_read += part->num_rows();
     std::vector<uint32_t> assignment = to.layout().Assign(*part);
     std::vector<std::vector<uint32_t>> rows_per_target(raw_partitions);
     for (uint32_t r = 0; r < assignment.size(); ++r) {
@@ -387,28 +395,13 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
       std::string path = dir_ + "/spill_e" + std::to_string(epoch) + "_s" +
                          std::to_string(src) + "_t" + std::to_string(tgt) +
                          ".blk";
-      out.status =
-          WriteBlockTo(backend_.get(), path, run, /*sync=*/false).status();
-      if (!out.status.ok()) return;
-      out.runs.emplace_back(tgt, std::move(path));
-    }
-  });
-  // Partial-write cleanup on shuffle failure: drop every spill run written
-  // so far; the source layout is untouched and keeps serving.
-  uint64_t rows_read = 0;
-  std::vector<std::vector<std::string>> spills(raw_partitions);
-  {
-    Status first;
-    for (ShuffleResult& s : shuffled) {
-      if (!s.status.ok() && first.ok()) first = s.status;
-      rows_read += s.rows;
-      for (auto& [tgt, path] : s.runs) spills[tgt].push_back(std::move(path));
-    }
-    if (!first.ok()) {
-      for (const auto& per_target : spills) {
-        BestEffortRemoveAll(backend_.get(), per_target);
+      Status st =
+          WriteBlockTo(spill_backend_, path, run, /*sync=*/false).status();
+      if (!st.ok()) {
+        drop_spills();
+        return st;
       }
-      return first;
+      spills[tgt].push_back(std::move(path));
     }
   }
   OREO_CHECK_EQ(rows_read, table.num_rows());
@@ -416,9 +409,7 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   // Pass 2 — merge: per target partition, read its runs back, concatenate,
   // compress and durably write the final partition file. Raw target ids with
   // no rows are dropped, mirroring BuildPartitioning's compaction, so file
-  // order lines up with `to.partitioning()`'s zone maps. The dense pid of
-  // every surviving target is known up front, so the merges are independent
-  // and fan out across the pool.
+  // order lines up with `to.partitioning()`'s zone maps.
   size_t next_epoch = epoch + 1;
   const Partitioning& parts = to.partitioning();
   std::vector<uint32_t> surviving;  // raw target ids with rows, ascending
@@ -427,17 +418,23 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
   }
   OREO_CHECK_EQ(surviving.size(), parts.num_partitions())
       << "shuffle partition count diverged from the canonical partitioning";
-  std::vector<std::string> new_files(surviving.size());
-  std::vector<uint64_t> new_bytes(surviving.size());
-  std::vector<Status> statuses(surviving.size());
-  pool_->ParallelFor(surviving.size(), [&](size_t pid) {
+  std::vector<std::string> new_files;
+  std::vector<uint64_t> new_bytes;
+  new_files.reserve(surviving.size());
+  new_bytes.reserve(surviving.size());
+  // Partial-write cleanup on merge failure: remove the new-epoch files and
+  // every spill run not yet reclaimed; the source layout keeps serving.
+  auto fail_merge = [&](const Status& st) {
+    BestEffortRemoveAll(backend_.get(), new_files);
+    drop_spills();
+    return st;
+  };
+  for (size_t pid = 0; pid < surviving.size(); ++pid) {
+    std::vector<std::string>& runs = spills[surviving[pid]];
     Table merged(table.schema());
-    for (const std::string& spill : spills[surviving[pid]]) {
-      Result<Table> run = ReadBlockFrom(backend_.get(), spill);
-      if (!run.ok()) {
-        statuses[pid] = run.status();
-        return;
-      }
+    for (const std::string& spill : runs) {
+      Result<Table> run = ReadBlockFrom(spill_backend_, spill);
+      if (!run.ok()) return fail_merge(run.status());
       merged.Append(*run);
     }
     OREO_CHECK_EQ(merged.num_rows(), parts.zones[pid].num_rows)
@@ -446,29 +443,11 @@ Result<PhysicalStore::Timing> PhysicalStore::Reorganize(
     // Durable write: the swap must not expose a layout that could vanish.
     Result<uint64_t> bytes =
         WriteBlockTo(backend_.get(), path, merged, /*sync=*/true);
-    if (!bytes.ok()) {
-      statuses[pid] = bytes.status();
-      return;
-    }
-    new_files[pid] = path;
-    new_bytes[pid] = *bytes;
-    BestEffortRemoveAll(backend_.get(), spills[surviving[pid]]);
-  });
-  {
-    // Partial-write cleanup on merge failure: remove the new-epoch files and
-    // every spill run that was not yet reclaimed; the source layout keeps
-    // serving untouched.
-    Status first = FirstError(statuses);
-    if (!first.ok()) {
-      for (size_t pid = 0; pid < surviving.size(); ++pid) {
-        if (!new_files[pid].empty()) {
-          BestEffortRemoveAll(backend_.get(), {new_files[pid]});
-        } else {
-          BestEffortRemoveAll(backend_.get(), spills[surviving[pid]]);
-        }
-      }
-      return first;
-    }
+    if (!bytes.ok()) return fail_merge(bytes.status());
+    new_files.push_back(std::move(path));
+    new_bytes.push_back(*bytes);
+    BestEffortRemoveAll(spill_backend_, runs);
+    runs.clear();
   }
   for (size_t pid = 0; pid < new_files.size(); ++pid) {
     timing.bytes += new_bytes[pid];

@@ -28,13 +28,17 @@ namespace core {
 
 /// On-disk partition store for one table under one layout at a time.
 ///
-/// Threading model: the three physical hot paths (ExecuteQuery scans,
-/// MaterializeLayout writes, Reorganize shuffle+merge) fan out across an
-/// internal thread pool of `num_threads` workers (0 = one per hardware
-/// core, 1 = fully serial). Determinism contract: counts, bytes, statuses
-/// and on-disk file contents are bit-identical for any thread count — every
-/// parallel path stages per-partition outputs and reduces them in partition
-/// order. Only the wall-clock `seconds` fields vary with the pool size.
+/// Threading model: the foreground paths (ExecuteQuery scans and
+/// MaterializeLayout writes) fan out across an internal thread pool of
+/// `num_threads` workers (0 = one per hardware core, 1 = fully serial).
+/// Reorganize runs its shuffle and merge passes on the calling thread — a
+/// ReorgPool worker in the engine — so a background rewrite never takes the
+/// pool's workers from the scans it overlaps; rewrite parallelism comes from
+/// ReorgPool running shards side by side. Determinism contract: counts,
+/// bytes, statuses and on-disk file contents are bit-identical for any
+/// thread count — every parallel path stages per-partition outputs and
+/// reduces them in partition order. Only the wall-clock `seconds` fields
+/// vary with the pool size.
 class PhysicalStore {
  public:
   /// Files are created under `dir` (created if missing) through `backend`
@@ -101,6 +105,9 @@ class PhysicalStore {
   /// Full reorganization into `to`: reads every current partition file
   /// (decompression included), re-partitions `table` rows, writes the new
   /// files. The returned timing covers read + assign + compress + write.
+  /// Runs serially on the calling thread. Its spill runs are written and
+  /// read beneath a SharedCacheBackend (straight to the view's base), so
+  /// they are neither cached nor charged to the cache's budget.
   Result<Timing> Reorganize(const Table& table, const LayoutInstance& to);
 
   /// Total bytes of the currently materialized files.
@@ -186,6 +193,7 @@ class PhysicalStore {
   std::string dir_;
   std::shared_ptr<StorageBackend> backend_;
   BlockPrefetcher* prefetcher_ = nullptr;  // backend_'s, when it has one
+  StorageBackend* spill_backend_ = nullptr;  // backend_, beneath any cache
   std::unique_ptr<ThreadPool> pool_;
   mutable std::mutex mu_;  // guards the members below
   const LayoutInstance* instance_ = nullptr;  // not owned

@@ -237,14 +237,16 @@ Result<IngestResult> ShardedOreo::Ingest(IngestBatch batch) {
       }
     }
   }
-  // A fold rematerializes registry layout instances in place; quiesce
-  // rewrites that may still be reading them before any shard can fold.
-  if (reorg_pool_ != nullptr) WaitForReorgs();
-
   std::vector<ingest::ShardIngest> split =
       ingest::SplitIngest(router_, batch.rows, batch.deletes);
   IngestResult out;
   out.version = ++ingest_version_;
+  // A fold replaces the shard's base table and rematerializes its registry
+  // instances in place, and background rewrites read both. So the rewrites
+  // are quiesced right before a shard folds, and only then: a batch that
+  // folds no shard leaves them running.
+  std::function<void()> quiesce;
+  if (reorg_pool_ != nullptr) quiesce = [this] { WaitForReorgs(); };
   // Serial application in ascending shard order: each shard's mutation
   // sequence is a deterministic function of the batch stream alone.
   for (size_t s = 0; s < engines_.size(); ++s) {
@@ -254,8 +256,9 @@ Result<IngestResult> ShardedOreo::Ingest(IngestBatch batch) {
     IngestBatch shard_batch;
     shard_batch.rows = std::move(slice.rows);
     shard_batch.deletes = std::move(slice.deletes);
-    OREO_ASSIGN_OR_RETURN(IngestResult shard_result,
-                          engine.oreo().Ingest(std::move(shard_batch)));
+    OREO_ASSIGN_OR_RETURN(
+        IngestResult shard_result,
+        engine.oreo().Ingest(std::move(shard_batch), quiesce));
     out.rows_appended += shard_result.rows_appended;
     out.rows_deleted += shard_result.rows_deleted;
     if (shard_result.folded) {

@@ -138,10 +138,12 @@ class ShardedOreo : public OreoEngine {
   /// Row weights are recomputed from the shards' post-ingest physical scan
   /// sizes (base + delta rows), keeping the merged cost accounting
   /// consistent with what each shard's LiveCost normalizes by. With a
-  /// physical layer attached, in-flight rewrites are quiesced first (a fold
-  /// rematerializes registry layouts a running rewrite may read), folded
-  /// shards are re-materialized from their folded base, and every mutated
-  /// shard's scan overlay is rebuilt against its pinned snapshot.
+  /// physical layer attached, in-flight rewrites are quiesced (as by
+  /// WaitForReorgs) right before a shard folds, and only when one
+  /// does: a fold replaces the base table and registry layouts a running
+  /// rewrite reads. Folded shards are re-materialized from their folded
+  /// base, and every mutated shard's scan overlay is rebuilt against its
+  /// pinned snapshot.
   ///
   /// The returned version is a facade-level batch counter; per-shard
   /// versions advance only on shards the batch touched (idle shards see no

@@ -5,6 +5,7 @@
 
 #include "common/bitvector.h"
 #include "common/logging.h"
+#include "query/kernels.h"
 
 namespace oreo {
 
@@ -29,9 +30,22 @@ uint32_t QdTreeLayout::RouteRow(const Table& table, uint32_t row) const {
 }
 
 std::vector<uint32_t> QdTreeLayout::Assign(const Table& table) const {
+  // One cut bitmap per inner node (the predicate kernels, column at a time),
+  // then every row descends by bit tests: the same path RouteRow takes.
+  std::vector<BitVector> cut_bits(nodes_.size(), BitVector(0));
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    if (!nodes_[i].is_leaf()) {
+      cut_bits[i] = EvalPredicateBitmap(table, nodes_[i].cut);
+    }
+  }
   std::vector<uint32_t> out(table.num_rows());
   for (uint32_t r = 0; r < table.num_rows(); ++r) {
-    out[r] = RouteRow(table, r);
+    size_t node = 0;
+    while (!nodes_[node].is_leaf()) {
+      const QdTreeNode& n = nodes_[node];
+      node = static_cast<size_t>(cut_bits[node].Get(r) ? n.left : n.right);
+    }
+    out[r] = static_cast<uint32_t>(nodes_[node].partition_id);
   }
   return out;
 }
@@ -132,20 +146,12 @@ std::unique_ptr<Layout> QdTreeGenerator::Generate(
   std::vector<BitVector> cut_match;
   cut_match.reserve(cuts.size());
   for (const Predicate& c : cuts) {
-    BitVector bv(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      if (c.Matches(sample, r)) bv.Set(r);
-    }
-    cut_match.push_back(std::move(bv));
+    cut_match.push_back(EvalPredicateBitmap(sample, c));
   }
   std::vector<BitVector> query_match;
   query_match.reserve(workload.size());
   for (const Query& q : workload) {
-    BitVector bv(n);
-    for (uint32_t r = 0; r < n; ++r) {
-      if (q.Matches(sample, r)) bv.Set(r);
-    }
-    query_match.push_back(std::move(bv));
+    query_match.push_back(EvalQueryBitmap(sample, q));
   }
 
   std::vector<QdTreeNode> nodes(1);  // root placeholder

@@ -95,6 +95,33 @@ uint32_t Column::CodeFor(const std::string& s) {
   return code;
 }
 
+void Column::AppendColumn(const Column& src) {
+  OREO_CHECK(src.type_ == type_) << "AppendColumn type mismatch";
+  switch (type_) {
+    case DataType::kInt64:
+      ints_.insert(ints_.end(), src.ints_.begin(), src.ints_.end());
+      break;
+    case DataType::kDouble:
+      doubles_.insert(doubles_.end(), src.doubles_.begin(),
+                      src.doubles_.end());
+      break;
+    case DataType::kString: {
+      // One dictionary lookup per distinct source code, in order of first
+      // appearance: the dictionary grows exactly as a per-row AppendString
+      // loop grows it, and every row gets the same code.
+      constexpr uint32_t kUnmapped = UINT32_MAX;
+      std::vector<uint32_t> remap(src.dict_.size(), kUnmapped);
+      codes_.reserve(codes_.size() + src.codes_.size());
+      for (uint32_t code : src.codes_) {
+        uint32_t& mapped = remap[code];
+        if (mapped == kUnmapped) mapped = CodeFor(src.dict_[code]);
+        codes_.push_back(mapped);
+      }
+      break;
+    }
+  }
+}
+
 int64_t Column::FindCode(const std::string& s) const {
   auto it = dict_index_.find(s);
   return it == dict_index_.end() ? -1 : static_cast<int64_t>(it->second);

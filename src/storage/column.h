@@ -50,6 +50,11 @@ class Column {
   /// Code for `s` or -1 if the dictionary does not contain it.
   int64_t FindCode(const std::string& s) const;
 
+  /// Appends every row of `src` (same type; not this column itself). String
+  /// rows are re-encoded into this dictionary with the codes and dictionary
+  /// order a per-row AppendString loop would produce.
+  void AppendColumn(const Column& src);
+
   /// Builds a column containing rows at `row_ids` in order.
   /// String columns share the dictionary content (codes re-mapped as needed).
   Column Take(const std::vector<uint32_t>& row_ids) const;

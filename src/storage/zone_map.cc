@@ -52,35 +52,67 @@ ZoneMap ZoneMap::ForSchema(const Schema& schema) {
   return zm;
 }
 
-void ZoneMap::UpdateRow(const Table& table, uint32_t row) {
-  OREO_DCHECK(columns.size() == table.num_columns());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    const Column& col = table.column(c);
-    switch (col.type()) {
-      case DataType::kInt64:
-        columns[c].UpdateInt64(col.GetInt64(row));
-        break;
-      case DataType::kDouble:
-        columns[c].UpdateDouble(col.GetDouble(row));
-        break;
-      case DataType::kString:
-        columns[c].UpdateString(col.GetString(row));
-        break;
+namespace {
+
+// Folds the rows row_at(0) .. row_at(m - 1) of `col` into `zone`. Numeric
+// columns fold in row order, the exact min/max sequence of a row loop (so
+// NaN and signed-zero outcomes do not change). A string column first marks
+// the distinct dictionary codes its rows use, then folds each marked code's
+// string once: min, max and the distinct set depend only on the set of
+// values, and a dictionary may hold one string under several codes.
+template <typename RowAt>
+void FoldColumn(const Column& col, size_t m, const RowAt& row_at,
+                ColumnZone* zone) {
+  switch (col.type()) {
+    case DataType::kInt64: {
+      const int64_t* v = col.ints().data();
+      for (size_t i = 0; i < m; ++i) zone->UpdateInt64(v[row_at(i)]);
+      return;
+    }
+    case DataType::kDouble: {
+      const double* v = col.doubles().data();
+      for (size_t i = 0; i < m; ++i) zone->UpdateDouble(v[row_at(i)]);
+      return;
+    }
+    case DataType::kString: {
+      const uint32_t* codes = col.codes().data();
+      std::vector<uint8_t> seen(col.dictionary().size(), 0);
+      std::vector<uint32_t> used;  // first-appearance order
+      for (size_t i = 0; i < m; ++i) {
+        const uint32_t code = codes[row_at(i)];
+        if (seen[code] == 0) {
+          seen[code] = 1;
+          used.push_back(code);
+        }
+      }
+      for (uint32_t code : used) zone->UpdateString(col.dictionary()[code]);
+      return;
     }
   }
-  ++num_rows;
 }
 
-ZoneMap BuildZoneMap(const Table& table, const std::vector<uint32_t>& row_ids) {
+template <typename RowAt>
+ZoneMap BuildZoneMapColumnar(const Table& table, size_t m,
+                             const RowAt& row_at) {
   ZoneMap zm = ZoneMap::ForSchema(table.schema());
-  for (uint32_t r : row_ids) zm.UpdateRow(table, r);
+  OREO_DCHECK(zm.columns.size() == table.num_columns());
+  for (size_t c = 0; c < zm.columns.size(); ++c) {
+    FoldColumn(table.column(c), m, row_at, &zm.columns[c]);
+  }
+  zm.num_rows = m;
   return zm;
+}
+
+}  // namespace
+
+ZoneMap BuildZoneMap(const Table& table, const std::vector<uint32_t>& row_ids) {
+  return BuildZoneMapColumnar(table, row_ids.size(),
+                              [&](size_t i) { return row_ids[i]; });
 }
 
 ZoneMap BuildZoneMap(const Table& table) {
-  ZoneMap zm = ZoneMap::ForSchema(table.schema());
-  for (uint32_t r = 0; r < table.num_rows(); ++r) zm.UpdateRow(table, r);
-  return zm;
+  return BuildZoneMapColumnar(table, table.num_rows(),
+                              [](size_t i) { return i; });
 }
 
 }  // namespace oreo

@@ -49,12 +49,11 @@ struct ZoneMap {
 
   /// Initializes empty zones for every field in `schema`.
   static ZoneMap ForSchema(const Schema& schema);
-
-  /// Folds row `row` of `table` into this zone map.
-  void UpdateRow(const Table& table, uint32_t row);
 };
 
-/// Builds a zone map covering the given rows of `table`.
+/// Builds a zone map covering the given rows of `table`, a column at a time.
+/// The result equals folding the rows one by one, in order, through the
+/// ColumnZone updates.
 ZoneMap BuildZoneMap(const Table& table, const std::vector<uint32_t>& row_ids);
 
 /// Builds a zone map covering the entire table.

@@ -295,9 +295,11 @@ TEST(BackendEquivalenceTest, SharedCacheCutsBaseReadsWithoutChangingResults) {
             uncached.base_read_bytes - with_cache.base_read_bytes)
       << "every avoided base read must be accounted as hit bytes";
   EXPECT_EQ(uncached.base_read_bytes, 582090u);
+  // Spill runs bypass the cache: they are neither misses nor
+  // invalidations.
   EXPECT_EQ(testutil::CacheCounters(stats, with_cache.base_read_bytes),
-            "hits=93 misses=45 coalesced=0 evictions=0 "
-            "invalidations=37 hit_bytes=461542 base_read_bytes=120548");
+            "hits=93 misses=16 coalesced=0 evictions=0 "
+            "invalidations=8 hit_bytes=461542 base_read_bytes=120548");
 }
 
 }  // namespace

@@ -402,9 +402,11 @@ TEST(SharedCacheBackendTest, CacheOnOffIsResultIdenticalAcrossReorganization) {
   EXPECT_GT(cached->cache()->stats().hits, 0u);
   EXPECT_GT(cached->cache()->stats().invalidations, 0u)
       << "the reorganization never invalidated a cached partition";
+  // Spill runs bypass the cache, so every miss is a partition read and
+  // every invalidation a superseded partition.
   EXPECT_EQ(testutil::CacheCounters(*cached),
-            "hits=20 misses=120 coalesced=0 evictions=0 "
-            "invalidations=110 hit_bytes=66573 base_read_bytes=106965");
+            "hits=20 misses=20 coalesced=0 evictions=0 "
+            "invalidations=10 hit_bytes=66573 base_read_bytes=106965");
 
   // The ground truth: every query's matches against the raw table.
   for (size_t i = 0; i < queries.size(); ++i) {

@@ -6,8 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
+#include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "ingest/live_table.h"
 #include "ingest/mutation_log.h"
 #include "layout/qdtree_layout.h"
+#include "query/kernels.h"
 #include "sampling/workload_stats.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -386,6 +391,111 @@ TEST(OreoIngestTest, RunAfterIngestMatchesStep) {
     EXPECT_EQ(a.state, b.state);
     EXPECT_EQ(a.query_cost, b.query_cost);
     EXPECT_EQ(a.reorganized, b.reorganized);
+  }
+}
+
+// Test double: an in-memory backend whose reads block while the gate is
+// closed, freezing a background rewrite at its first source read.
+class ReadGateBackend : public InMemoryBackend {
+ public:
+  Result<std::string> ReadBlock(const std::string& path) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      ++blocked_;
+      cv_.notify_all();
+      cv_.wait(lock, [&] { return open_; });
+      --blocked_;
+    }
+    return InMemoryBackend::ReadBlock(path);
+  }
+  void Close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = false;
+  }
+  void Open() {
+    std::lock_guard<std::mutex> lock(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  void WaitUntilBlocked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return blocked_ > 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool open_ = true;
+  int blocked_ = 0;
+};
+
+TEST(OreoIngestTest, RewritesAreQuiescedOnlyWhenAFoldIsDue) {
+  Table base = testutil::MakeEventTable(4000, 81);
+  QdTreeGenerator gen;
+  core::OreoOptions opts = IngestOpts(/*fold=*/0.25);
+  opts.alpha = 2.0;
+  auto gate = std::make_shared<ReadGateBackend>();
+  opts.storage_backend = gate;
+  auto engine = core::MakeEngine(&base, &gen, 0, opts);
+  ASSERT_TRUE(
+      engine->AttachPhysical(testutil::ScratchDir("ingest_quiesce")).ok());
+
+  // Drive decisions with the gate closed until a background rewrite is
+  // submitted; it blocks at its first source read.
+  const std::vector<Query> queries =
+      testutil::MakeRangeWorkload(1, 1000, 50, 1500, 82);
+  gate->Close();
+  bool submitted = false;
+  for (const QueryBatch& batch : MakeBatches(queries, 50)) {
+    engine->RunBatch(batch);
+    if (engine->SyncPhysical() > 0) {
+      submitted = true;
+      break;
+    }
+  }
+  ASSERT_TRUE(submitted) << "fixture never switched layouts";
+  gate->WaitUntilBlocked();
+
+  // 100 delta rows / 4100 physical rows: no fold is due, so the batch
+  // commits while the rewrite is still blocked.
+  auto no_fold = std::async(std::launch::async, [&] {
+    return engine->Ingest(IngestBatch{MakeChunk(100, 4000, 83), {}});
+  });
+  if (no_fold.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    gate->Open();
+    no_fold.wait();
+    FAIL() << "an ingest that folds nothing waited for the rewrite";
+  }
+  Result<IngestResult> r1 = no_fold.get();
+  ASSERT_TRUE(r1.ok()) << r1.status().ToString();
+  EXPECT_FALSE(r1->folded);
+
+  // 1600 delta rows / 5600 physical rows crosses the threshold: the fold
+  // must wait until the rewrite it would pull the base table from under
+  // has finished.
+  auto fold = std::async(std::launch::async, [&] {
+    return engine->Ingest(IngestBatch{MakeChunk(1500, 4100, 84), {}});
+  });
+  EXPECT_EQ(fold.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "the fold did not wait for the running rewrite";
+  gate->Open();
+  Result<IngestResult> r2 = fold.get();
+  ASSERT_TRUE(r2.ok()) << r2.status().ToString();
+  EXPECT_TRUE(r2->folded);
+
+  // The rematerialized store serves the folded table.
+  engine->WaitForReorgs();
+  const Table& folded = engine->core(0).base_table();
+  ASSERT_EQ(folded.num_rows(), 5600u);
+  const std::vector<Query> probe(queries.begin(), queries.begin() + 20);
+  Result<core::PhysicalStore::BatchExec> exec =
+      engine->ExecuteBatchPhysical(probe);
+  ASSERT_TRUE(exec.ok()) << exec.status().ToString();
+  for (size_t i = 0; i < probe.size(); ++i) {
+    EXPECT_EQ(exec->per_query[i].matches, KernelCountMatches(folded, probe[i]))
+        << "query " << i;
   }
 }
 

@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "core/physical.h"
+#include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
 #include "layout/zorder_layout.h"
 #include "query/aggregate.h"
@@ -27,6 +28,7 @@
 #include "storage/codec.h"
 #include "storage/shard_router.h"
 #include "storage/table.h"
+#include "storage/zone_map.h"
 #include "test_util.h"
 
 namespace oreo {
@@ -307,6 +309,181 @@ TEST(KernelParityTest, ZOrderAssignMatchesScalar) {
     vector_assign = layout->Assign(t);
   }
   EXPECT_EQ(scalar_assign, vector_assign);
+}
+
+// ------------------------------------------- decision-layer parity ----
+
+std::string TreeFingerprint(const QdTreeLayout& tree) {
+  std::string out;
+  for (const QdTreeNode& n : tree.nodes()) {
+    out += n.is_leaf() ? std::string("leaf") : n.cut.ToString();
+    out += " L" + std::to_string(n.left) + " R" + std::to_string(n.right) +
+           " P" + std::to_string(n.partition_id) + "\n";
+  }
+  return out;
+}
+
+TEST(KernelParityTest, QdTreeGenerateBuildsTheSameTreeInBothModes) {
+  Rng rng(77);
+  const std::vector<Predicate> pool = AdversarialPredicates();
+  size_t multi_leaf = 0;
+  for (size_t n : {1u, 63u, 64u, 65u, 500u, 2000u}) {
+    Table sample = MakeAdversarialTable(n, n * 31 + 5);
+    std::vector<Query> workload(40);
+    for (Query& q : workload) {
+      const size_t n_conj = rng.Uniform(4);  // 0 = full scan
+      for (size_t c = 0; c < n_conj; ++c) {
+        q.conjuncts.push_back(pool[rng.Uniform(pool.size())]);
+      }
+    }
+    for (uint32_t k : {1u, 4u, 16u}) {
+      QdTreeGenerator gen;
+      std::unique_ptr<Layout> scalar_tree, vector_tree;
+      std::vector<uint32_t> scalar_assign, vector_assign;
+      {
+        ScopedKernelMode mode(simd::KernelMode::kScalar);
+        scalar_tree = gen.Generate(sample, workload, k);
+        scalar_assign = scalar_tree->Assign(sample);
+      }
+      {
+        ScopedKernelMode mode(simd::KernelMode::kVector);
+        vector_tree = gen.Generate(sample, workload, k);
+        vector_assign = vector_tree->Assign(sample);
+      }
+      const auto& s = dynamic_cast<const QdTreeLayout&>(*scalar_tree);
+      const auto& v = dynamic_cast<const QdTreeLayout&>(*vector_tree);
+      EXPECT_EQ(TreeFingerprint(s), TreeFingerprint(v))
+          << "n=" << n << " k=" << k;
+      EXPECT_EQ(s.num_leaves(), v.num_leaves());
+      EXPECT_EQ(scalar_assign, vector_assign) << "n=" << n << " k=" << k;
+      if (s.num_leaves() > 1) ++multi_leaf;
+    }
+  }
+  EXPECT_GT(multi_leaf, 5u) << "fixture never splits";
+}
+
+// The row-at-a-time zone map BuildZoneMap used to compute: every row folded
+// through the ColumnZone updates, in row-list order. Kept here as the
+// reference the columnar build must equal.
+ZoneMap RowAtATimeZoneMap(const Table& t, const std::vector<uint32_t>& rows) {
+  ZoneMap zm = ZoneMap::ForSchema(t.schema());
+  for (uint32_t r : rows) {
+    for (size_t c = 0; c < t.num_columns(); ++c) {
+      const Column& col = t.column(c);
+      switch (col.type()) {
+        case DataType::kInt64:
+          zm.columns[c].UpdateInt64(col.GetInt64(r));
+          break;
+        case DataType::kDouble:
+          zm.columns[c].UpdateDouble(col.GetDouble(r));
+          break;
+        case DataType::kString:
+          zm.columns[c].UpdateString(col.GetString(r));
+          break;
+      }
+    }
+    ++zm.num_rows;
+  }
+  return zm;
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+void ExpectSameZoneMap(const ZoneMap& want, const ZoneMap& got,
+                       const std::string& ctx) {
+  EXPECT_EQ(want.num_rows, got.num_rows) << ctx;
+  ASSERT_EQ(want.columns.size(), got.columns.size()) << ctx;
+  for (size_t c = 0; c < want.columns.size(); ++c) {
+    const ColumnZone& w = want.columns[c];
+    const ColumnZone& g = got.columns[c];
+    const std::string where = ctx + " column " + std::to_string(c);
+    EXPECT_EQ(w.type, g.type) << where;
+    EXPECT_EQ(w.empty, g.empty) << where;
+    EXPECT_EQ(w.int_min, g.int_min) << where;
+    EXPECT_EQ(w.int_max, g.int_max) << where;
+    // Bitwise: NaN payloads and the sign of zero must survive too.
+    EXPECT_EQ(DoubleBits(w.dbl_min), DoubleBits(g.dbl_min)) << where;
+    EXPECT_EQ(DoubleBits(w.dbl_max), DoubleBits(g.dbl_max)) << where;
+    EXPECT_EQ(w.str_min, g.str_min) << where;
+    EXPECT_EQ(w.str_max, g.str_max) << where;
+    EXPECT_EQ(w.distinct, g.distinct) << where;
+    EXPECT_EQ(w.distinct_overflow, g.distinct_overflow) << where;
+  }
+}
+
+// {i, d, s} with NaN/±0.0/±inf doubles, and a string column installed via
+// SetStringData whose dictionary holds `distinct` strings twice each (two
+// codes per string, as a decoded block may carry) plus unreferenced entries
+// that would move min and max if they were folded.
+Table MakeZoneMapTable(size_t n, size_t distinct, uint64_t seed) {
+  Table t(Schema({{"i", DataType::kInt64},
+                  {"d", DataType::kDouble},
+                  {"s", DataType::kString}}));
+  Rng rng(seed);
+  const std::vector<double> specials = {kNaN, -kNaN, 0.0, -0.0, kInf, -kInf};
+  std::vector<std::string> dict;
+  for (int copy = 0; copy < 2; ++copy) {
+    for (size_t k = 0; k < distinct; ++k) {
+      dict.push_back("v" + std::to_string(k));
+    }
+  }
+  dict.push_back("");     // unreferenced, below every value
+  dict.push_back("~~~");  // unreferenced, above every value
+  std::vector<uint32_t> codes;
+  for (size_t r = 0; r < n; ++r) {
+    t.mutable_column(0)->AppendInt64(
+        rng.Bernoulli(0.1) ? (rng.Bernoulli(0.5) ? kI64Min : kI64Max)
+                           : rng.UniformInt(-100, 100));
+    t.mutable_column(1)->AppendDouble(
+        rng.Bernoulli(0.3) ? specials[rng.Uniform(specials.size())]
+                           : rng.UniformDouble(-50.0, 50.0));
+    codes.push_back(static_cast<uint32_t>(rng.Uniform(2 * distinct)));
+  }
+  t.mutable_column(2)->SetStringData(std::move(codes), std::move(dict));
+  t.FinishAppends();
+  return t;
+}
+
+TEST(ZoneMapParityTest, ColumnarBuildEqualsRowAtATimeReference) {
+  Rng rng(1234);
+  size_t overflowed = 0, bounded = 0;
+  for (size_t distinct : {1u, 5u, 64u, 65u, 200u}) {
+    for (size_t n : {0u, 1u, 7u, 300u, 2000u}) {
+      Table t = MakeZoneMapTable(n, distinct, distinct * 1000 + n);
+      std::vector<std::vector<uint32_t>> row_lists;
+      row_lists.emplace_back();  // empty
+      std::vector<uint32_t> all(n);
+      for (uint32_t r = 0; r < n; ++r) all[r] = r;
+      row_lists.push_back(all);
+      for (int rep = 0; rep < 4 && n > 0; ++rep) {
+        // Random subsets in random order, with repeats: the numeric fold
+        // order decides NaN and signed-zero outcomes.
+        std::vector<uint32_t> rows;
+        const size_t m = rng.Uniform(n + 1);
+        for (size_t i = 0; i < m; ++i) {
+          rows.push_back(static_cast<uint32_t>(rng.Uniform(n)));
+        }
+        row_lists.push_back(std::move(rows));
+      }
+      for (size_t li = 0; li < row_lists.size(); ++li) {
+        const std::string ctx = "distinct=" + std::to_string(distinct) +
+                                " n=" + std::to_string(n) +
+                                " list=" + std::to_string(li);
+        const ZoneMap want = RowAtATimeZoneMap(t, row_lists[li]);
+        ExpectSameZoneMap(want, BuildZoneMap(t, row_lists[li]), ctx);
+        if (li == 1) ExpectSameZoneMap(want, BuildZoneMap(t), ctx + " whole");
+        const ColumnZone& s = want.columns[2];
+        if (s.distinct_overflow) ++overflowed;
+        if (!s.empty && !s.distinct_overflow) ++bounded;
+      }
+    }
+  }
+  EXPECT_GT(overflowed, 0u) << "no case overflowed the distinct set";
+  EXPECT_GT(bounded, 0u) << "no case kept a distinct set";
 }
 
 TEST(KernelParityTest, ShardRouterRangeRoutingMatchesScalar) {

@@ -326,6 +326,30 @@ TEST(QdTreeTest, BeatsDefaultSortOnItsWorkload) {
   EXPECT_LT(qd_cost, s_cost * 0.6);
 }
 
+TEST(QdTreeTest, AssignEqualsRouteRowForEveryRow) {
+  Table t = MakeTable(5000, 41);
+  Rng rng(42);
+  Table sample = t.SampleRows(1000, &rng);
+  // Cuts on int, double and string columns, so the tree mixes kernels.
+  std::vector<Query> wl = RangeWorkload(1, 1000, 60, 30, 43);
+  for (int i = 0; i < 10; ++i) {
+    Query q;
+    q.conjuncts = {Predicate::Lt(2, Value(10.0 * i)),
+                   Predicate::Eq(3, Value(std::string(1, 'a' + i % 6)))};
+    wl.push_back(q);
+  }
+  QdTreeGenerator gen;
+  auto layout = gen.Generate(sample, wl, 16);
+  const auto& tree = dynamic_cast<const QdTreeLayout&>(*layout);
+  ASSERT_GT(tree.num_leaves(), 4u);
+  std::vector<uint32_t> assignment = tree.Assign(t);
+  ASSERT_EQ(assignment.size(), t.num_rows());
+  for (uint32_t r = 0; r < t.num_rows(); ++r) {
+    ASSERT_EQ(assignment[r], tree.RouteRow(t, r)) << "row " << r;
+  }
+  EXPECT_TRUE(tree.Assign(Table(TestSchema())).empty());
+}
+
 TEST(QdTreeTest, MinLeafSizeHonored) {
   Table t = MakeTable(2000, 32);
   Rng rng(33);

@@ -147,6 +147,38 @@ TEST(TableTest, AppendRemapsStringDictionaries) {
   EXPECT_EQ(a.column(0).GetCode(0), a.column(0).GetCode(2));
 }
 
+TEST(TableTest, AppendMatchesPerRowAppendString) {
+  // Destination with a dictionary of its own; source whose dictionary holds
+  // unreferenced entries and one string under two codes (as a decoded
+  // block may), with codes used out of dictionary order.
+  Rng rng(31);
+  for (int iter = 0; iter < 20; ++iter) {
+    Column dst(DataType::kString);
+    for (const char* s : {"m", "b", "zz"}) dst.AppendString(s);
+    Column src(DataType::kString);
+    std::vector<std::string> dict = {"b", "q", "unused", "b", "a", "m", ""};
+    std::vector<uint32_t> codes;
+    const size_t rows = rng.Uniform(200);
+    for (size_t r = 0; r < rows; ++r) {
+      uint32_t code = static_cast<uint32_t>(rng.Uniform(dict.size()));
+      if (code == 2) code = 1;  // "unused" stays unreferenced
+      codes.push_back(code);
+    }
+    src.SetStringData(codes, dict);
+
+    Column per_row = dst;
+    for (size_t r = 0; r < src.size(); ++r) {
+      per_row.AppendString(src.GetString(r));
+    }
+    dst.AppendColumn(src);
+    EXPECT_EQ(dst.codes(), per_row.codes()) << "iter " << iter;
+    EXPECT_EQ(dst.dictionary(), per_row.dictionary()) << "iter " << iter;
+    for (const std::string& s : per_row.dictionary()) {
+      EXPECT_EQ(dst.FindCode(s), per_row.FindCode(s)) << s;
+    }
+  }
+}
+
 TEST(TableTest, AppendEmptyIsNoop) {
   Table a = SmallTable();
   Table b(TestSchema());
