@@ -25,7 +25,7 @@ namespace {
 void RunOreoVariant(const char* label, const Fixture& f,
                     const core::OreoOptions& opts) {
   QdTreeGenerator gen;
-  PrintRow(label, RunOreo(f, gen, opts));
+  PrintRow(label, RunMethod("oreo", f, gen, opts));
 }
 
 // Multi-copy over the per-template state space: serving cost is the min over

@@ -1,5 +1,6 @@
 #include "common.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -93,154 +94,93 @@ core::OreoOptions DefaultOreoOptions(const Scale& scale) {
 
 namespace {
 
-core::LayoutManagerOptions ToManagerOptions(const core::OreoOptions& o) {
-  core::LayoutManagerOptions m;
-  m.window_size = o.window_size;
-  m.generate_every = o.generate_every;
-  m.epsilon = o.epsilon;
-  m.admission_sample_size = o.admission_sample_size;
-  m.max_states = o.max_states;
-  m.source = o.source;
-  m.target_partitions = o.target_partitions;
-  m.dataset_sample_rows = o.dataset_sample_rows;
-  m.seed = o.seed ^ 0x9e3779b9;
-  return m;
-}
-
-Table DatasetSample(const Fixture& f, const core::OreoOptions& opts,
+Table DatasetSample(const Table& table, const core::OreoOptions& opts,
                     uint64_t seed) {
   Rng rng(seed);
-  return f.ds.table.SampleRows(opts.dataset_sample_rows, &rng);
+  return table.SampleRows(opts.dataset_sample_rows, &rng);
 }
 
-std::vector<Query> SubsampledWorkload(const Fixture& f, size_t max_queries) {
-  std::vector<Query> out;
-  size_t stride = std::max<size_t>(1, f.wl.queries.size() / max_queries);
-  for (size_t i = 0; i < f.wl.queries.size(); i += stride) {
-    out.push_back(f.wl.queries[i]);
+// One layout per query template: the fixed state space of MTS-Optimal and
+// Offline-Optimal.
+std::vector<int> TemplateStates(const Table& table, const Fixture& f,
+                                const LayoutGenerator& gen,
+                                const core::OreoOptions& opts,
+                                core::StateRegistry* registry) {
+  return core::BuildPerTemplateStates(
+      table, DatasetSample(table, opts, opts.seed + 23), f.ds.templates, gen,
+      opts.target_partitions, /*queries_per_template=*/200, opts.seed + 29,
+      registry);
+}
+
+}  // namespace
+
+core::StrategyFactory MethodStrategy(const std::string& method,
+                                     const Fixture& f,
+                                     const LayoutGenerator& gen,
+                                     const core::OreoOptions& opts) {
+  using Made = std::unique_ptr<core::Strategy>;
+  if (method == "oreo") return nullptr;
+  if (method == "static") {
+    return [&f, &gen, opts](const Table& table, core::StateRegistry* reg,
+                            const core::LayoutManager*, int, double) -> Made {
+      // Static sees the entire workload; build from a uniform subsample to
+      // keep construction tractable (the paper builds from query
+      // predicates likewise).
+      std::vector<Query> wl_sample;
+      const size_t stride = std::max<size_t>(1, f.wl.queries.size() / 1500);
+      for (size_t i = 0; i < f.wl.queries.size(); i += stride) {
+        wl_sample.push_back(f.wl.queries[i]);
+      }
+      auto layout = gen.Generate(DatasetSample(table, opts, opts.seed + 17),
+                                 wl_sample, opts.target_partitions);
+      int id = reg->Add(Materialize(
+          "static:" + gen.name(),
+          std::shared_ptr<const Layout>(std::move(layout)), table));
+      return std::make_unique<core::StaticStrategy>(id);
+    };
   }
-  return out;
+  if (method == "greedy") {
+    return [](const Table&, core::StateRegistry* reg,
+              const core::LayoutManager* mgr, int def, double) -> Made {
+      return std::make_unique<core::GreedyStrategy>(reg, mgr, def);
+    };
+  }
+  if (method == "regret") {
+    return [](const Table&, core::StateRegistry* reg,
+              const core::LayoutManager*, int def, double alpha) -> Made {
+      return std::make_unique<core::RegretStrategy>(reg, alpha, def);
+    };
+  }
+  if (method == "mts_optimal") {
+    return [&f, &gen, opts](const Table& table, core::StateRegistry* reg,
+                            const core::LayoutManager*, int,
+                            double alpha) -> Made {
+      std::vector<int> states = TemplateStates(table, f, gen, opts, reg);
+      mts::DumtsOptions dopts;
+      dopts.alpha = alpha;
+      dopts.gamma = opts.gamma;
+      dopts.seed = opts.seed;
+      const int initial =
+          states[static_cast<size_t>(f.wl.queries.front().template_id)];
+      return std::make_unique<core::MtsOptimalStrategy>(reg, std::move(states),
+                                                        initial, dopts);
+    };
+  }
+  OREO_CHECK(method == "offline_optimal") << "unknown method " << method;
+  return [&f, &gen, opts](const Table& table, core::StateRegistry* reg,
+                          const core::LayoutManager*, int, double) -> Made {
+    return std::make_unique<core::OfflineOptimalStrategy>(
+        TemplateStates(table, f, gen, opts, reg), &f.wl);
+  };
 }
 
-}  // namespace
-
-core::SimResult RunStatic(const Fixture& f, const LayoutGenerator& gen,
+core::SimResult RunMethod(const std::string& method, const Fixture& f,
+                          const LayoutGenerator& gen,
                           const core::OreoOptions& opts, bool record_trace) {
-  core::StateRegistry reg;
-  Table sample = DatasetSample(f, opts, opts.seed + 17);
-  // Static sees the entire workload; build from a uniform subsample to keep
-  // construction tractable (the paper builds from query predicates likewise).
-  std::vector<Query> wl_sample = SubsampledWorkload(f, 1500);
-  auto layout = gen.Generate(sample, wl_sample, opts.target_partitions);
-  int id = reg.Add(Materialize(
-      "static:" + gen.name(), std::shared_ptr<const Layout>(std::move(layout)),
-      f.ds.table));
-  core::StaticStrategy strategy(id);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  sim.record_trace = record_trace;
-  return core::RunSimulation(&strategy, nullptr, &reg, f.wl.queries, sim);
-}
-
-core::SimResult RunOreo(const Fixture& f, const LayoutGenerator& gen,
-                        const core::OreoOptions& opts, bool record_trace,
-                        core::StateRegistry* out_registry) {
-  (void)out_registry;
-  core::Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
+  core::OreoOptions run_opts = opts;
+  run_opts.strategy = MethodStrategy(method, f, gen, opts);
+  core::Oreo oreo(&f.ds.table, &gen, f.ds.time_column, run_opts);
   return oreo.Run(f.wl.queries, record_trace);
-}
-
-namespace {
-
-template <typename MakeStrategy>
-core::SimResult RunWithManager(const Fixture& f, const LayoutGenerator& gen,
-                               const core::OreoOptions& opts,
-                               bool record_trace, MakeStrategy make_strategy) {
-  core::StateRegistry reg;
-  core::LayoutManager mgr(&f.ds.table, &gen, &reg, ToManagerOptions(opts));
-  int def = mgr.InitDefaultState(f.ds.time_column);
-  auto strategy = make_strategy(&reg, &mgr, def);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  sim.reorg_delay = opts.reorg_delay;
-  sim.record_trace = record_trace;
-  return core::RunSimulation(strategy.get(), &mgr, &reg, f.wl.queries, sim);
-}
-
-}  // namespace
-
-core::SimResult RunGreedy(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts, bool record_trace,
-                          core::StateRegistry* out_registry) {
-  (void)out_registry;
-  return RunWithManager(
-      f, gen, opts, record_trace,
-      [](core::StateRegistry* reg, core::LayoutManager* mgr, int def) {
-        return std::make_unique<core::GreedyStrategy>(reg, mgr, def);
-      });
-}
-
-core::SimResult RunRegret(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts, bool record_trace,
-                          core::StateRegistry* out_registry) {
-  (void)out_registry;
-  double alpha = opts.alpha;
-  return RunWithManager(
-      f, gen, opts, record_trace,
-      [alpha](core::StateRegistry* reg, core::LayoutManager* /*mgr*/,
-              int def) {
-        return std::make_unique<core::RegretStrategy>(reg, alpha, def);
-      });
-}
-
-namespace {
-
-struct TemplateStates {
-  core::StateRegistry registry;
-  std::vector<int> states;
-};
-
-std::unique_ptr<TemplateStates> BuildTemplateStates(
-    const Fixture& f, const LayoutGenerator& gen,
-    const core::OreoOptions& opts) {
-  auto ts = std::make_unique<TemplateStates>();
-  Table sample = DatasetSample(f, opts, opts.seed + 23);
-  ts->states = core::BuildPerTemplateStates(
-      f.ds.table, sample, f.ds.templates, gen, opts.target_partitions,
-      /*queries_per_template=*/200, opts.seed + 29, &ts->registry);
-  return ts;
-}
-
-}  // namespace
-
-core::SimResult RunMtsOptimal(const Fixture& f, const LayoutGenerator& gen,
-                              const core::OreoOptions& opts,
-                              bool record_trace) {
-  auto ts = BuildTemplateStates(f, gen, opts);
-  mts::DumtsOptions dopts;
-  dopts.alpha = opts.alpha;
-  dopts.gamma = opts.gamma;
-  dopts.seed = opts.seed;
-  int initial = ts->states[static_cast<size_t>(
-      f.wl.queries.front().template_id)];
-  core::MtsOptimalStrategy strategy(&ts->registry, ts->states, initial, dopts);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  sim.record_trace = record_trace;
-  return core::RunSimulation(&strategy, nullptr, &ts->registry, f.wl.queries,
-                             sim);
-}
-
-core::SimResult RunOfflineOptimal(const Fixture& f, const LayoutGenerator& gen,
-                                  const core::OreoOptions& opts,
-                                  bool record_trace) {
-  auto ts = BuildTemplateStates(f, gen, opts);
-  core::OfflineOptimalStrategy strategy(ts->states, &f.wl);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  sim.record_trace = record_trace;
-  return core::RunSimulation(&strategy, nullptr, &ts->registry, f.wl.queries,
-                             sim);
 }
 
 void PrintRow(const std::string& label, const core::SimResult& r) {

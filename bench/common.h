@@ -1,9 +1,10 @@
 // Shared infrastructure for the paper-reproduction benchmark harnesses:
 // flag parsing, experiment fixtures (dataset + template-switching workload),
-// and one runner per method of comparison (paper SVI-A3 / SVI-C).
+// and the strategy factory of every method of comparison (paper SVI-A3 /
+// SVI-C), which the engine runs through its one decision loop.
 //
-// Default scales are laptop-sized; pass --full for paper-scale runs
-// (row counts and query counts as in SVI-A2).
+// Default scales are laptop-sized. --full raises the table to 200k rows
+// with the paper's query counts; the paper's tables hold 26-40M rows.
 #ifndef OREO_BENCH_COMMON_H_
 #define OREO_BENCH_COMMON_H_
 
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/oreo.h"
-#include "core/simulator.h"
 #include "core/strategy.h"
 #include "layout/layout.h"
 #include "workloads/dataset.h"
@@ -61,39 +61,22 @@ Fixture MakeFixture(const std::string& dataset, const Scale& scale);
 /// Framework parameters (paper defaults: alpha=80, eps=0.08, gamma=1, W=200).
 core::OreoOptions DefaultOreoOptions(const Scale& scale);
 
-/// Builds the paper's Static baseline layout (whole-workload knowledge) and
-/// returns its simulation result.
-core::SimResult RunStatic(const Fixture& f, const LayoutGenerator& gen,
+/// The strategy of one method of comparison, for OreoOptions::strategy:
+/// "oreo" (null, the engine default), "static", "greedy", "regret",
+/// "mts_optimal" or "offline_optimal". Static sees the whole workload;
+/// MTS-Optimal and Offline-Optimal run over one precomputed layout per
+/// query template (SVI-C). Their factories build those layouts from the
+/// shard's table. `f` and `gen` must outlive every engine built with it.
+core::StrategyFactory MethodStrategy(const std::string& method,
+                                     const Fixture& f,
+                                     const LayoutGenerator& gen,
+                                     const core::OreoOptions& opts);
+
+/// Runs `method` logically (Oreo::Run) over the fixture's workload.
+core::SimResult RunMethod(const std::string& method, const Fixture& f,
+                          const LayoutGenerator& gen,
                           const core::OreoOptions& opts,
                           bool record_trace = false);
-
-/// Runs OREO (D-UMTS over the dynamic state space).
-core::SimResult RunOreo(const Fixture& f, const LayoutGenerator& gen,
-                        const core::OreoOptions& opts,
-                        bool record_trace = false,
-                        core::StateRegistry* out_registry = nullptr);
-
-/// Runs the Greedy online baseline (shares OREO's candidate pipeline).
-core::SimResult RunGreedy(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts,
-                          bool record_trace = false,
-                          core::StateRegistry* out_registry = nullptr);
-
-/// Runs the Regret online baseline.
-core::SimResult RunRegret(const Fixture& f, const LayoutGenerator& gen,
-                          const core::OreoOptions& opts,
-                          bool record_trace = false,
-                          core::StateRegistry* out_registry = nullptr);
-
-/// Runs MTS-Optimal: D-UMTS over precomputed per-template layouts (SVI-C).
-core::SimResult RunMtsOptimal(const Fixture& f, const LayoutGenerator& gen,
-                              const core::OreoOptions& opts,
-                              bool record_trace = false);
-
-/// Runs Offline-Optimal: instant switches at template boundaries (SVI-C).
-core::SimResult RunOfflineOptimal(const Fixture& f, const LayoutGenerator& gen,
-                                  const core::OreoOptions& opts,
-                                  bool record_trace = false);
 
 /// Pretty-prints a one-line summary row.
 void PrintRow(const std::string& label, const core::SimResult& r);

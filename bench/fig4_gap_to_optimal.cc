@@ -46,10 +46,10 @@ int Main(int argc, char** argv) {
     Fixture f = MakeFixture(dataset, scale);
     core::OreoOptions opts = DefaultOreoOptions(scale);
 
-    core::SimResult offline = RunOfflineOptimal(f, gen, opts, true);
-    core::SimResult oreo = RunOreo(f, gen, opts, true);
-    core::SimResult mts_opt = RunMtsOptimal(f, gen, opts, true);
-    core::SimResult sta = RunStatic(f, gen, opts, true);
+    core::SimResult offline = RunMethod("offline_optimal", f, gen, opts, true);
+    core::SimResult oreo = RunMethod("oreo", f, gen, opts, true);
+    core::SimResult mts_opt = RunMethod("mts_optimal", f, gen, opts, true);
+    core::SimResult sta = RunMethod("static", f, gen, opts, true);
 
     std::printf("--- %s ---\n", dataset.c_str());
     std::printf("template switch points:");

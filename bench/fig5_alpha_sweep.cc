@@ -41,7 +41,7 @@ int Main(int argc, char** argv) {
   for (double alpha : alphas) {
     core::OreoOptions opts = DefaultOreoOptions(scale);
     opts.alpha = alpha;
-    core::SimResult r = RunOreo(f, gen, opts);
+    core::SimResult r = RunMethod("oreo", f, gen, opts);
     std::printf("%8.0f %12.1f %12.1f %12.1f %10lld\n", alpha, r.query_cost,
                 r.reorg_cost, r.total_cost(),
                 static_cast<long long>(r.num_switches));

@@ -26,7 +26,7 @@ struct Cell {
 
 Cell RunConfig(const Fixture& f, const core::OreoOptions& opts) {
   QdTreeGenerator gen;
-  core::SimResult r = RunOreo(f, gen, opts);
+  core::SimResult r = RunMethod("oreo", f, gen, opts);
   return Cell{r.query_cost / 1e3, r.reorg_cost / 1e3};
 }
 

@@ -8,7 +8,7 @@
 
 #include "core/engine.h"
 #include "core/oreo.h"
-#include "core/simulator.h"
+#include "core/strategy.h"
 #include "layout/qdtree_layout.h"
 #include "workloads/dataset.h"
 #include "workloads/workload_gen.h"
@@ -47,23 +47,28 @@ int main() {
   }
 
   // 4. Baseline: the best single layout, built with knowledge of the whole
-  //    workload (the paper's Static baseline).
-  core::StateRegistry static_registry;
-  Rng rng(99);
-  Table sample = ds.table.SampleRows(2000, &rng);
-  std::vector<Query> all(wl.queries.begin(), wl.queries.end());
-  // Static sees the full workload; subsample to keep construction fast.
-  std::vector<Query> wl_sample;
-  for (size_t i = 0; i < all.size(); i += 10) wl_sample.push_back(all[i]);
-  auto layout = generator.Generate(sample, wl_sample, opts.target_partitions);
-  std::shared_ptr<const Layout> shared(std::move(layout));
-  int static_id = static_registry.Add(
-      Materialize("static:qdtree", shared, ds.table));
-  core::StaticStrategy static_strategy(static_id);
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
-  core::SimResult static_result = core::RunSimulation(
-      &static_strategy, nullptr, &static_registry, wl.queries, sim);
+  //    workload (the paper's Static baseline). A baseline is just another
+  //    strategy for the same engine: the factory registers its layout.
+  core::OreoOptions static_opts = opts;
+  static_opts.strategy = [&](const Table& table, core::StateRegistry* registry,
+                             const core::LayoutManager*, int, double) {
+    Rng rng(99);
+    Table sample = table.SampleRows(2000, &rng);
+    // Static sees the full workload; subsample to keep construction fast.
+    std::vector<Query> wl_sample;
+    for (size_t i = 0; i < wl.queries.size(); i += 10) {
+      wl_sample.push_back(wl.queries[i]);
+    }
+    auto layout = generator.Generate(sample, wl_sample, opts.target_partitions);
+    int id = registry->Add(Materialize(
+        "static:qdtree", std::shared_ptr<const Layout>(std::move(layout)),
+        table));
+    return std::make_unique<core::StaticStrategy>(id);
+  };
+  core::SimResult static_result =
+      core::MakeEngine(&ds.table, &generator, ds.time_column, static_opts)
+          ->RunTrace(wl.queries)
+          .shards.front();
 
   // 5. Report.
   double oreo_total = oreo->total_cost();

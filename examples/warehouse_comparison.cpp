@@ -9,7 +9,6 @@
 
 #include "core/engine.h"
 #include "core/oreo.h"
-#include "core/simulator.h"
 #include "core/strategy.h"
 #include "layout/qdtree_layout.h"
 #include "workloads/dataset.h"
@@ -50,64 +49,76 @@ int main() {
   opts.target_partitions = 24;
   opts.seed = 33;
 
-  core::SimOptions sim;
-  sim.alpha = opts.alpha;
+  // Every method runs through the same engine; a baseline is just the
+  // strategy its factory builds (null = OREO).
+  auto run = [&](core::StrategyFactory strategy) {
+    core::OreoOptions method_opts = opts;
+    method_opts.strategy = std::move(strategy);
+    return core::MakeEngine(&ds.table, &gen, ds.time_column, method_opts)
+        ->RunTrace(wl.queries)
+        .shards.front();
+  };
+  using Made = std::unique_ptr<core::Strategy>;
 
   // --- Static: one layout optimized for the whole (known) workload. ---
-  core::StateRegistry static_reg;
   Rng rng(34);
   Table sample = ds.table.SampleRows(2000, &rng);
   std::vector<Query> wl_sample;
-  for (size_t i = 0; i < wl.queries.size(); i += 10) wl_sample.push_back(wl.queries[i]);
-  int static_id = static_reg.Add(Materialize(
-      "static",
-      std::shared_ptr<const Layout>(gen.Generate(sample, wl_sample, 24)),
-      ds.table));
-  core::StaticStrategy static_strategy(static_id);
-  SimResult r_static = core::RunSimulation(&static_strategy, nullptr,
-                                           &static_reg, wl.queries, sim);
+  for (size_t i = 0; i < wl.queries.size(); i += 10) {
+    wl_sample.push_back(wl.queries[i]);
+  }
+  SimResult r_static = run([&](const Table& table, core::StateRegistry* reg,
+                               const core::LayoutManager*, int,
+                               double) -> Made {
+    int id = reg->Add(Materialize(
+        "static",
+        std::shared_ptr<const Layout>(gen.Generate(sample, wl_sample, 24)),
+        table));
+    return std::make_unique<core::StaticStrategy>(id);
+  });
 
-  // --- OREO (through the unified engine factory). ---
-  auto oreo = core::MakeEngine(&ds.table, &gen, ds.time_column, opts);
-  SimResult r_oreo = oreo->RunTrace(wl.queries).shards.front();
+  // --- OREO. ---
+  SimResult r_oreo = run(nullptr);
 
   // --- Greedy & Regret (same candidate pipeline as OREO). ---
-  auto with_manager = [&](auto make) {
-    core::StateRegistry reg;
-    core::LayoutManagerOptions mopts;
-    mopts.target_partitions = opts.target_partitions;
-    mopts.seed = opts.seed ^ 0x9e3779b9;
-    core::LayoutManager mgr(&ds.table, &gen, &reg, mopts);
-    int def = mgr.InitDefaultState(ds.time_column);
-    auto strategy = make(&reg, &mgr, def);
-    return core::RunSimulation(strategy.get(), &mgr, &reg, wl.queries, sim);
-  };
-  SimResult r_greedy = with_manager([&](auto* reg, auto* mgr, int def) {
+  SimResult r_greedy = run([](const Table&, core::StateRegistry* reg,
+                              const core::LayoutManager* mgr, int def,
+                              double) -> Made {
     return std::make_unique<core::GreedyStrategy>(reg, mgr, def);
   });
-  SimResult r_regret = with_manager([&](auto* reg, auto* /*mgr*/, int def) {
-    return std::make_unique<core::RegretStrategy>(reg, sim.alpha, def);
+  SimResult r_regret = run([](const Table&, core::StateRegistry* reg,
+                              const core::LayoutManager*, int def,
+                              double alpha) -> Made {
+    return std::make_unique<core::RegretStrategy>(reg, alpha, def);
   });
 
   // --- Oracles with precomputed per-template layouts (SVI-C). ---
-  core::StateRegistry oracle_reg;
-  std::vector<int> tpl_states = core::BuildPerTemplateStates(
-      ds.table, sample, ds.templates, gen, 24, 200, 35, &oracle_reg);
-  mts::DumtsOptions dopts;
-  dopts.alpha = sim.alpha;
-  dopts.gamma = 1.0;
-  dopts.seed = 36;
-  core::MtsOptimalStrategy mts_strategy(
-      &oracle_reg, tpl_states,
-      tpl_states[static_cast<size_t>(wl.queries.front().template_id)], dopts);
-  SimResult r_mts = core::RunSimulation(&mts_strategy, nullptr, &oracle_reg,
-                                        wl.queries, sim);
-  core::OfflineOptimalStrategy offline_strategy(tpl_states, &wl);
-  SimResult r_offline = core::RunSimulation(&offline_strategy, nullptr,
-                                            &oracle_reg, wl.queries, sim);
+  auto template_states = [&](const Table& table, core::StateRegistry* reg) {
+    return core::BuildPerTemplateStates(table, sample, ds.templates, gen, 24,
+                                        200, 35, reg);
+  };
+  SimResult r_mts = run([&](const Table& table, core::StateRegistry* reg,
+                            const core::LayoutManager*, int,
+                            double alpha) -> Made {
+    std::vector<int> tpl_states = template_states(table, reg);
+    mts::DumtsOptions dopts;
+    dopts.alpha = alpha;
+    dopts.gamma = 1.0;
+    dopts.seed = 36;
+    const int initial =
+        tpl_states[static_cast<size_t>(wl.queries.front().template_id)];
+    return std::make_unique<core::MtsOptimalStrategy>(
+        reg, std::move(tpl_states), initial, dopts);
+  });
+  SimResult r_offline = run([&](const Table& table, core::StateRegistry* reg,
+                                const core::LayoutManager*, int,
+                                double) -> Made {
+    return std::make_unique<core::OfflineOptimalStrategy>(
+        template_states(table, reg), &wl);
+  });
 
   std::printf("Logical costs (fraction of table scanned per query; "
-              "alpha=%.0f per reorganization):\n\n", sim.alpha);
+              "alpha=%.0f per reorganization):\n\n", opts.alpha);
   double st = r_static.total_cost();
   Report("static", r_static, 0);
   Report("oreo", r_oreo, st);

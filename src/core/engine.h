@@ -1,8 +1,8 @@
 // The client handle: one abstract interface over the `ShardedOreo` facade —
 // the only physical engine, built by MakeEngine for every shard count — so
-// tests, benches, examples, replay and the server drive any (sharding x
-// storage backend) combination through the same code. Each shard's logical
-// decisions live in an `Oreo` core (see core(s)).
+// tests, benches, examples and the server drive any (sharding x storage
+// backend x reorganization strategy) combination through the same code.
+// Each shard's logical decisions live in an `Oreo` core (see core(s)).
 //
 //   core::OreoOptions opts;
 //   opts.num_shards = 4;                       // 1 = one shard, whole table
@@ -17,9 +17,11 @@
 //   engine->WaitForReorgs();
 //
 // Determinism contract (pinned by tests/backend_equivalence_test.cc): for a
-// fixed seed and workload, costs, switch decisions, decision traces, scan
-// counters and materialized partition bytes are identical across storage
-// backends, thread counts and batch sizes; only wall-clock seconds vary.
+// fixed seed and workload, costs, switch decisions and decision traces are
+// identical across storage backends, thread counts and batch sizes; scan
+// counters and materialized partition bytes are identical across backends
+// and thread counts at a fixed batch size (a batch scans the snapshot it
+// started on); only wall-clock seconds vary.
 #ifndef OREO_CORE_ENGINE_H_
 #define OREO_CORE_ENGINE_H_
 
@@ -28,11 +30,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/status.h"
 #include "core/physical.h"
-#include "core/simulator.h"
 #include "query/query.h"
 #include "storage/table.h"
 
@@ -79,15 +81,30 @@ class SingleCallerGuard {
 
 }  // namespace internal
 
+/// Cost accounting of one logical run (Oreo::Run) — the paper's
+/// "Simulation" methodology (§VI-A1): query cost = fraction of rows
+/// accessed per partition metadata; every reorganization costs alpha.
+struct SimResult {
+  std::string method;
+  double query_cost = 0.0;
+  double reorg_cost = 0.0;
+  int64_t num_switches = 0;
+  double total_cost() const { return query_cost + reorg_cost; }
+  /// Cumulative total cost after each query (only if record_trace).
+  std::vector<double> cumulative;
+  /// State that physically served each query (only if record_trace).
+  std::vector<int> serving_state;
+  /// (query index, from, to) per switch decision.
+  std::vector<std::tuple<int64_t, int, int>> switch_events;
+  size_t final_live_states = 0;
+};
+
 /// Per-shard traces plus merged accounting from OreoEngine::RunTrace: one
 /// slot per shard (a 1-shard engine's slot holds the whole stream).
 struct EngineSimResult {
   /// Per-shard simulation results, in shard-local (unweighted) units —
   /// feed these to the per-shard competitive-ratio machinery.
   std::vector<SimResult> shards;
-  /// The sub-stream each shard observed, in stream order (filled only with
-  /// record_trace: it exists to feed ReplayTrace).
-  std::vector<std::vector<Query>> shard_streams;
   /// Row-weighted merged accounting (1 shard: equals the SimResult totals).
   double query_cost = 0.0;
   double reorg_cost = 0.0;
@@ -213,14 +230,6 @@ class OreoEngine {
 
   /// Blocks until no rewrite is queued or running, then reconciles.
   virtual void WaitForReorgs() = 0;
-
-  /// Replays a recorded decision trace physically into `dir` (one
-  /// `shard_NNN` subdirectory per shard), through the engine's storage
-  /// backend. `sim` must come from RunTrace(..., record_trace=true) on this
-  /// engine. Counters are bit-identical at any `num_threads`/`batch_size`.
-  virtual Result<PhysicalReplayResult> ReplayTrace(
-      const EngineSimResult& sim, size_t stride, const std::string& dir,
-      size_t num_threads = 0, size_t batch_size = 1) const = 0;
 };
 
 /// Builds the engine `options` describe: the `ShardedOreo` facade over

@@ -41,24 +41,43 @@ Oreo::Oreo(const Table* table, const LayoutGenerator* generator,
   manager_ = std::make_unique<LayoutManager>(table, generator, &registry_,
                                              ToManagerOptions(options));
   default_state_ = manager_->InitDefaultState(time_column);
-  strategy_ = std::make_unique<OreoStrategy>(&registry_, default_state_,
-                                             ToDumtsOptions(options),
-                                             options.mid_phase_policy);
-  // D-UMTS decides on the live cost matrix, so switch decisions account for
-  // un-folded delta chunks; without pending mutations LiveCost returns the
-  // registry cost exactly and nothing changes.
-  strategy_->set_cost_fn(
-      [this](int state, const Query& query) { return LiveCost(state, query); });
-  physical_state_ = default_state_;
+  if (options.strategy) {
+    strategy_ = options.strategy(*table, &registry_, manager_.get(),
+                                 default_state_, options.alpha);
+    OREO_CHECK(strategy_ != nullptr) << "strategy factory returned null";
+  } else {
+    auto oreo = std::make_unique<OreoStrategy>(&registry_, default_state_,
+                                               ToDumtsOptions(options),
+                                               options.mid_phase_policy);
+    // D-UMTS decides on the live cost matrix, so switch decisions account
+    // for un-folded delta chunks; without pending mutations LiveCost returns
+    // the registry cost exactly and nothing changes.
+    oreo->set_cost_fn([this](int state, const Query& query) {
+      return LiveCost(state, query);
+    });
+    oreo_strategy_ = oreo.get();
+    strategy_ = std::move(oreo);
+  }
+  // A precomputed state space may start away from the default layout.
+  physical_state_ = strategy_->current_state();
 }
 
 Oreo::~Oreo() = default;
 
+const OreoStrategy& Oreo::strategy() const {
+  OREO_CHECK(oreo_strategy_ != nullptr)
+      << "strategy() is OREO's; this engine runs " << strategy_->name();
+  return *oreo_strategy_;
+}
+
 Oreo::StepResult Oreo::Step(const Query& query) {
   internal::SingleCallerGuard::Scope single_caller(&caller_guard_);
-  std::vector<ManagerEvent> events =
-      manager_->Observe(query, strategy_->current_state());
-  int forced = strategy_->ApplyEvents(events);
+  int forced = 0;
+  if (!strategy_->fixed_state_space()) {
+    std::vector<ManagerEvent> events =
+        manager_->Observe(query, strategy_->current_state());
+    forced = strategy_->ApplyEvents(events);
+  }
 
   bool switched = false;
   int logical = strategy_->OnQuery(query, &switched);
@@ -199,8 +218,12 @@ void Oreo::Fold() {
   live_.Fold();
   const Table* folded = &live_.base();
   // Every state — live AND removed — rematerializes over the folded table:
-  // recorded traces can replay removed states, and their partitionings must
-  // cover the new row set exactly.
+  // a removed state can still be read after the fold. With a reorg delay
+  // the physical state trails the current one, the only state the manager
+  // protects, so it may have been removed; RematerializeShard and
+  // ShardEngine::AttachPhysical materialize it. So may the target of a
+  // rewrite that was in flight when its state was removed. Their
+  // partitionings must cover the new row set exactly.
   registry_.RematerializeAll(*folded);
   manager_->OnDataFolded(folded);
   ++folds_;

@@ -4,8 +4,9 @@
 // live-ingest overlay — but owns no physical store. Clients drive the engine
 // through `OreoEngine` (core::MakeEngine), whose `ShardedOreo` facade runs
 // one `Oreo` per shard and owns the stores, pinned snapshots and background
-// rewrites; the lower-level pieces (LayoutManager, DynamicUmts, strategies,
-// simulator) remain available for composition.
+// rewrites; the lower-level pieces (LayoutManager, DynamicUmts, strategies)
+// remain available for composition. `Step` is the one per-query decision
+// loop: OREO and every baseline (OreoOptions::strategy) run through it.
 //
 // Direct logical use:
 //   QdTreeGenerator gen;
@@ -20,12 +21,12 @@
 #ifndef OREO_CORE_OREO_H_
 #define OREO_CORE_OREO_H_
 
+#include <deque>
 #include <functional>
 #include <memory>
 
 #include "core/engine.h"
 #include "core/layout_manager.h"
-#include "core/simulator.h"
 #include "core/state_registry.h"
 #include "core/strategy.h"
 #include "ingest/live_table.h"
@@ -53,6 +54,14 @@ struct OreoOptions {
   size_t admission_sample_size = 50;  ///< time-biased query sample size
   CandidateSource source = CandidateSource::kSlidingWindow;
   MidPhasePolicy mid_phase_policy = MidPhasePolicy::kDefer;
+  /// The reorganization method: null = OREO (D-UMTS over the dynamic state
+  /// space); otherwise called once per shard to build a baseline (Static,
+  /// Greedy, Regret, MTS-Optimal, Offline-Optimal; see core/strategy.h).
+  /// Every method runs through the same Step loop, so costs, switches,
+  /// batching, sharding and the physical live loop mean the same for all.
+  /// Only OREO decides on the live-ingest cost matrix; baselines decide on
+  /// registry costs. Every method is charged live costs.
+  StrategyFactory strategy;
   /// §V-B periodic pruning of redundant (epsilon-similar) states.
   bool prune_similar_states = true;
   /// §IV-A stay-in-place optimization at phase resets.
@@ -65,7 +74,9 @@ struct OreoOptions {
   /// 1 = serial. The engine's thread model: `num_threads` fans work out
   /// *across* shards (capped at num_shards) and, with one shard, also
   /// parallelizes candidate cost evaluation; AttachPhysical's
-  /// `store_threads` parallelizes scans and rewrites *within* a shard.
+  /// `store_threads` parallelizes foreground scans and materialization
+  /// *within* a shard, while each background rewrite runs serially on a
+  /// ReorgPool worker.
   /// Determinism contract: costs, switch decisions, traces and scan
   /// counters are bit-identical at any thread count.
   size_t num_threads = 0;
@@ -78,11 +89,11 @@ struct OreoOptions {
   int shard_column = -1;
   /// Row→shard routing function (see storage/shard_router.h).
   ShardRouting shard_routing = ShardRouting::kHash;
-  /// Physical byte store for AttachPhysical / replay (see
-  /// storage/backend.h): nullptr = local posix files; MakeInMemoryBackend()
-  /// serves disklessly; `shared_cache` below puts a bounded block cache in
-  /// front of it. The determinism contract extends to backends: costs,
-  /// switches, traces and partition bytes are backend-invariant.
+  /// Physical byte store for AttachPhysical (see storage/backend.h):
+  /// nullptr = local posix files; MakeInMemoryBackend() serves disklessly;
+  /// `shared_cache` below puts a bounded block cache in front of it. The
+  /// determinism contract extends to backends: costs, switches, traces and
+  /// partition bytes are backend-invariant.
   std::shared_ptr<StorageBackend> storage_backend;
   /// Cross-shard tiered block cache (see storage/shared_cache.h). When set,
   /// every shard's store wraps `storage_backend` (or posix when null) in a
@@ -172,7 +183,8 @@ class Oreo {
   uint64_t data_version() const { return mutation_log_.version(); }
   /// The current physical base table: the engine's original table until the
   /// first fold, the owned fold result afterwards. Background rewrites and
-  /// replays must read this, never the construction-time table.
+  /// store (re)materialization must read this, never the construction-time
+  /// table.
   const Table& base_table() const { return live_.base(); }
   /// Number of compaction folds performed so far.
   uint64_t folds() const { return folds_; }
@@ -196,7 +208,8 @@ class Oreo {
 
   const StateRegistry& registry() const { return registry_; }
   const LayoutManager& manager() const { return *manager_; }
-  const OreoStrategy& strategy() const { return *strategy_; }
+  /// The OREO strategy; only valid when OreoOptions::strategy is null.
+  const OreoStrategy& strategy() const;
   int current_state() const { return strategy_->current_state(); }
   int default_state() const { return default_state_; }
   /// Layout that physically serves queries right now (trails current_state
@@ -224,7 +237,8 @@ class Oreo {
   mutable internal::SingleCallerGuard caller_guard_;
   StateRegistry registry_;
   std::unique_ptr<LayoutManager> manager_;
-  std::unique_ptr<OreoStrategy> strategy_;
+  std::unique_ptr<Strategy> strategy_;
+  OreoStrategy* oreo_strategy_ = nullptr;  // strategy_, when it is OREO
   int default_state_;
   int physical_state_;
   std::deque<std::pair<size_t, int>> pending_;

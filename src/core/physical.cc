@@ -475,63 +475,5 @@ uint64_t PhysicalStore::MaterializedBytes() const {
   return total;
 }
 
-Result<PhysicalReplayResult> ReplayPhysical(
-    const Table& table, const StateRegistry& registry, const SimResult& sim,
-    const std::vector<Query>& queries, size_t stride, const std::string& dir,
-    size_t num_threads, size_t batch_size,
-    std::shared_ptr<StorageBackend> backend) {
-  OREO_CHECK_EQ(sim.serving_state.size(), queries.size())
-      << "simulation must be run with record_trace=true";
-  OREO_CHECK_GT(stride, 0u);
-  OREO_CHECK_GT(batch_size, 0u);
-  PhysicalReplayResult result;
-  PhysicalStore store(dir, num_threads, std::move(backend));
-
-  // Sampled queries awaiting execution on the current layout; flushed when
-  // full and before every reorganization, so every query runs against the
-  // exact layout its trace entry recorded.
-  std::vector<Query> pending;
-  pending.reserve(batch_size);
-  auto flush = [&]() -> Status {
-    if (pending.empty()) return Status::OK();
-    auto batch = store.ExecuteQueryBatch(pending);
-    if (!batch.ok()) return batch.status();
-    result.query_seconds += batch->seconds * static_cast<double>(stride);
-    for (const PhysicalStore::QueryExec& exec : batch->per_query) {
-      ++result.queries_executed;
-      result.partitions_read += exec.partitions_read;
-      result.matches += exec.matches;
-    }
-    pending.clear();
-    return Status::OK();
-  };
-
-  int current = sim.serving_state.empty() ? 0 : sim.serving_state.front();
-  {
-    // Initial materialization is not part of the measured costs (the system
-    // starts with the default layout already on disk).
-    auto st = store.MaterializeLayout(table, registry.Get(current));
-    if (!st.ok()) return st.status();
-  }
-  for (size_t t = 0; t < queries.size(); ++t) {
-    int state = sim.serving_state[t];
-    if (state != current) {
-      OREO_RETURN_NOT_OK(flush());
-      OREO_ASSIGN_OR_RETURN(PhysicalStore::Timing timing,
-                            store.Reorganize(table, registry.Get(state)));
-      store.Vacuum();  // replay is single-threaded: no snapshot readers
-      result.reorg_seconds += timing.seconds;
-      ++result.num_switches;
-      current = state;
-    }
-    if (t % stride == 0) {
-      pending.push_back(queries[t]);
-      if (pending.size() >= batch_size) OREO_RETURN_NOT_OK(flush());
-    }
-  }
-  OREO_RETURN_NOT_OK(flush());
-  return result;
-}
-
 }  // namespace core
 }  // namespace oreo

@@ -16,7 +16,6 @@
 #include "common/bitvector.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
-#include "core/simulator.h"
 #include "core/state_registry.h"
 #include "layout/layout.h"
 #include "query/query.h"
@@ -203,30 +202,6 @@ class PhysicalStore {
   std::vector<std::string> garbage_;          // outgoing files awaiting Vacuum
   size_t epoch_ = 0;
 };
-
-/// Replays a simulated decision trace physically: materializes the initial
-/// layout, reorganizes whenever the trace switches layouts, and executes
-/// every `stride`-th query for real (the paper estimates total query time
-/// from a ~10% sample, §VI-A1). Query seconds are scaled by `stride`.
-struct PhysicalReplayResult {
-  double query_seconds = 0.0;       ///< scaled estimate over the full stream
-  double reorg_seconds = 0.0;
-  int64_t num_switches = 0;
-  uint64_t queries_executed = 0;
-  uint64_t partitions_read = 0;
-  uint64_t matches = 0;
-};
-
-/// With `batch_size > 1`, consecutive sampled queries served by the same
-/// layout are executed as one ExecuteQueryBatch (flushed before every
-/// reorganization), modeling a high-throughput client that accumulates
-/// queries between layout changes. All counters are bit-identical to
-/// `batch_size = 1`; only wall-clock seconds differ.
-Result<PhysicalReplayResult> ReplayPhysical(
-    const Table& table, const StateRegistry& registry, const SimResult& sim,
-    const std::vector<Query>& queries, size_t stride, const std::string& dir,
-    size_t num_threads = 0, size_t batch_size = 1,
-    std::shared_ptr<StorageBackend> backend = nullptr);
 
 }  // namespace core
 }  // namespace oreo

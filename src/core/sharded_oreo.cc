@@ -6,7 +6,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "ingest/coordinator.h"
-#include "storage/shared_cache.h"
 
 namespace oreo {
 namespace core {
@@ -204,14 +203,6 @@ ShardedSimResult ShardedOreo::Run(const std::vector<Query>& queries,
     result.query_cost += weights_[s] * result.shards[s].query_cost;
     result.reorg_cost += weights_[s] * result.shards[s].reorg_cost;
     result.num_switches += result.shards[s].num_switches;
-  }
-  // The sub-streams only feed ReplayTrace, which needs a recorded trace.
-  if (record_trace) {
-    result.shard_streams.resize(n);
-    for (size_t s = 0; s < n; ++s) {
-      result.shard_streams[s] =
-          routed.whole(s) ? queries : std::move(routed.sub[s]);
-    }
   }
   return result;
 }
@@ -450,37 +441,6 @@ int64_t ShardedOreo::num_switches() const {
   int64_t total = 0;
   for (const auto& engine : engines_) {
     total += engine->oreo().num_switches();
-  }
-  return total;
-}
-
-Result<PhysicalReplayResult> ShardedOreo::ReplayTrace(
-    const EngineSimResult& sim, size_t stride, const std::string& dir,
-    size_t num_threads, size_t batch_size) const {
-  OREO_CHECK_EQ(sim.shards.size(), engines_.size())
-      << "sim does not match this engine";
-  OREO_CHECK_EQ(sim.shard_streams.size(), engines_.size());
-  PhysicalReplayResult total;
-  for (const auto& engine : engines_) {
-    const Oreo& core = engine->oreo();
-    const uint32_t s = engine->shard_id();
-    // base_table(): after a fold the registry's partitionings cover the
-    // folded rows. Mirror the serving path: with a shared cache, each
-    // shard's replay store reads through its own shard-charged view of it.
-    OREO_ASSIGN_OR_RETURN(
-        PhysicalReplayResult shard,
-        ReplayPhysical(core.base_table(), core.registry(), sim.shards[s],
-                       sim.shard_streams[s], stride, ShardDirName(dir, s),
-                       num_threads, batch_size,
-                       WrapWithSharedCache(core.options().shared_cache,
-                                           core.options().storage_backend,
-                                           s)));
-    total.query_seconds += shard.query_seconds;
-    total.reorg_seconds += shard.reorg_seconds;
-    total.num_switches += shard.num_switches;
-    total.queries_executed += shard.queries_executed;
-    total.partitions_read += shard.partitions_read;
-    total.matches += shard.matches;
   }
   return total;
 }

@@ -12,8 +12,8 @@
 // Determinism contract (pinned by tests/sharded_equivalence_test.cc and
 // tests/engine_golden_test.cc):
 //   - a 1-shard ShardedOreo is bit-identical to a bare Oreo — costs,
-//     switch decisions, decision traces and replayed partition files — and
-//     serves the caller's table in place (no shard copy);
+//     switch decisions and decision traces — and serves the caller's table
+//     in place (no shard copy);
 //   - N-shard runs are bit-identical across thread counts: decisions inside
 //     a shard are sequential in sub-stream order, shards are independent,
 //     and every fan-out stages per-slot results reduced serially in stream
@@ -181,18 +181,6 @@ class ShardedOreo : public OreoEngine {
   /// Blocks until no shard has a rewrite queued or running, then reconciles.
   void WaitForReorgs() override;
 
-  /// Replays per-shard decision traces physically: every shard runs
-  /// ReplayPhysical over its own sub-stream, trace and registry, into
-  /// `dir/shard_NNN` (through the shard's view of the shared cache, when
-  /// one is configured); counters are summed across shards. `sim` must come
-  /// from Run(..., record_trace=true) on this engine.
-  Result<PhysicalReplayResult> ReplayTrace(const EngineSimResult& sim,
-                                           size_t stride,
-                                           const std::string& dir,
-                                           size_t num_threads = 0,
-                                           size_t batch_size = 1)
-      const override;
-
   ReorgPool* reorg_pool() { return reorg_pool_.get(); }
 
   // --- introspection ------------------------------------------------------
@@ -252,7 +240,7 @@ class ShardedOreo : public OreoEngine {
   std::unique_ptr<ReorgPool> reorg_pool_;
 };
 
-/// Shard subdirectory name used by AttachPhysical and ReplayTrace.
+/// Shard subdirectory name used by AttachPhysical.
 std::string ShardDirName(const std::string& base_dir, uint32_t shard);
 
 }  // namespace core

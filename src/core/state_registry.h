@@ -42,8 +42,11 @@ class StateRegistry {
   /// each instance keeps its id, name and layout but rebuilds its
   /// partitioning for the new row set. The live-ingest fold calls this after
   /// compacting the logical table — removed states must follow too, because
-  /// recorded decision traces can reference them (ReplayPhysical checks that
-  /// a replayed layout's partitions cover the table exactly). Callers must
+  /// the engine can still read one. With a reorg delay a shard's physical
+  /// state trails the current one and may have been removed
+  /// (ShardedOreo::RematerializeShard and ShardEngine::AttachPhysical read
+  /// registry().Get(physical_state())), and so may the target of a rewrite
+  /// in flight. Their partitions must cover the table exactly. Callers must
   /// quiesce background rewrites first: instance addresses are stable
   /// (shared_ptr) but their contents mutate.
   void RematerializeAll(const Table& table);

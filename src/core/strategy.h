@@ -1,7 +1,8 @@
 // Reorganization strategies: OREO's D-UMTS REORGANIZER and the baselines of
 // paper SVI-A3 / SVI-C (Static, Greedy, Regret, MTS-Optimal,
-// Offline-Optimal). All strategies consume the same state registry; the
-// simulator (simulator.h) drives them over a query stream and accounts costs.
+// Offline-Optimal). All strategies consume the same state registry. Each
+// one runs inside the engine: OreoOptions::strategy builds it per shard, and
+// Oreo::Step drives it over the query stream and accounts its costs.
 #ifndef OREO_CORE_STRATEGY_H_
 #define OREO_CORE_STRATEGY_H_
 
@@ -27,20 +28,33 @@ class Strategy {
 
   /// Applies state-space changes from the Layout Manager. Returns the number
   /// of *forced* reorganizations triggered (e.g. the occupied state was
-  /// deleted); the simulator charges alpha for each.
+  /// deleted); the engine charges alpha for each.
   virtual int ApplyEvents(const std::vector<ManagerEvent>& events) {
     (void)events;
     return 0;
   }
 
   /// Chooses the state to serve `query`. Sets *switched when the strategy
-  /// initiates a reorganization for this query (the simulator charges alpha
+  /// initiates a reorganization for this query (the engine charges alpha
   /// and applies the configured delay).
   virtual int OnQuery(const Query& query, bool* switched) = 0;
 
   /// The state the strategy currently occupies.
   virtual int current_state() const = 0;
+
+  /// True for strategies over a precomputed state space (Static,
+  /// MTS-Optimal, Offline-Optimal): the engine then never feeds queries to
+  /// the Layout Manager, so such runs do no candidate generation.
+  virtual bool fixed_state_space() const { return false; }
 };
+
+/// Builds one shard's strategy (see OreoOptions::strategy). Called once per
+/// shard with the shard's table, its state registry (register any
+/// precomputed states here), its Layout Manager, the registry id of the
+/// default layout and alpha.
+using StrategyFactory = std::function<std::unique_ptr<Strategy>(
+    const Table& table, StateRegistry* registry, const LayoutManager* manager,
+    int default_state, double alpha)>;
 
 /// How OREO handles states admitted in the middle of a D-UMTS phase
 /// (paper Algorithm 4 defers; SIV-C sketches the two immediate options).
@@ -145,6 +159,7 @@ class StaticStrategy : public Strategy {
     return state_;
   }
   int current_state() const override { return state_; }
+  bool fixed_state_space() const override { return true; }
 
  private:
   int state_;
@@ -160,6 +175,7 @@ class MtsOptimalStrategy : public Strategy {
   std::string name() const override { return "mts_optimal"; }
   int OnQuery(const Query& query, bool* switched) override;
   int current_state() const override { return dumts_.current_state(); }
+  bool fixed_state_space() const override { return true; }
 
  private:
   const StateRegistry* registry_;
@@ -179,6 +195,7 @@ class OfflineOptimalStrategy : public Strategy {
   std::string name() const override { return "offline_optimal"; }
   int OnQuery(const Query& query, bool* switched) override;
   int current_state() const override { return current_; }
+  bool fixed_state_space() const override { return true; }
 
  private:
   std::vector<int> template_state_;

@@ -3,14 +3,15 @@
 //
 //   1. For a fixed seed and workload, (posix, in-memory) backends × thread
 //      counts {1, 8} × shard counts {1, 4} produce bit-identical costs,
-//      switch decisions, decision traces, replay counters and
-//      materialized-partition CRCs (read through each backend).
+//      switch decisions, per-query decisions, live-loop scan counters and
+//      final partition CRCs (read through each backend), pinned to golden
+//      values.
 //   2. Live streaming (AttachPhysical + RunBatch + ExecuteBatchPhysical +
 //      SyncPhysical with background rewrites) returns ground-truth matches
 //      on every backend and thread count.
 //   3. OreoOptions::shared_cache on/off is result-identical while
 //      measurably reducing the bytes fetched from the base backend (read
-//      amplification).
+//      amplification), with pinned cache counters.
 //
 // Runs under the TSan CI job (label `slow`).
 #include <gtest/gtest.h>
@@ -18,8 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -35,6 +34,7 @@ namespace {
 
 constexpr uint64_t kSeed = 17;
 constexpr size_t kRows = 3000;
+constexpr size_t kBatchSize = 16;
 
 OreoOptions BaseOpts(size_t num_threads, size_t num_shards,
                      std::shared_ptr<StorageBackend> backend) {
@@ -69,70 +69,39 @@ std::shared_ptr<StorageBackend> MakeBackend(const std::string& kind) {
   return kind == "posix" ? MakePosixBackend() : MakeInMemoryBackend();
 }
 
-// Everything a (backend, threads, shards) combo produces that must not
-// depend on the backend or the pool size.
-struct ComboFingerprint {
-  // Logical: per-shard decision traces and merged accounting.
-  std::vector<std::vector<int>> serving_states;
-  std::vector<std::vector<std::tuple<int64_t, int, int>>> switch_events;
-  double query_cost = 0.0;
-  double reorg_cost = 0.0;
-  int64_t num_switches = 0;
-  // Physical replay counters.
-  int64_t replay_switches = 0;
-  uint64_t queries_executed = 0;
-  uint64_t partitions_read = 0;
-  uint64_t matches = 0;
-  // Materialized partitions: dir-relative path -> CRC, in path order.
-  std::vector<std::pair<std::string, uint32_t>> crcs;
-
-  bool operator==(const ComboFingerprint& o) const {
-    return serving_states == o.serving_states &&
-           switch_events == o.switch_events && query_cost == o.query_cost &&
-           reorg_cost == o.reorg_cost && num_switches == o.num_switches &&
-           replay_switches == o.replay_switches &&
-           queries_executed == o.queries_executed &&
-           partitions_read == o.partitions_read && matches == o.matches &&
-           crcs == o.crcs;
+// The live loop's golden fingerprint at each shard count (batches of
+// kBatchSize, drained after every batch): counters, accounting and final
+// partition CRCs. Every backend, tier and thread count must reproduce it.
+const char* GoldenSummary(size_t shards) {
+  if (shards == 1) {
+    return "partitions_read=1344 rows_scanned=505013 matches=45695 "
+           "bytes_read=6671179 total_cost=0x1.ebd4d242e6bd8p+7 switches=1 "
+           "crcs=08b465c0,e15f66cf,06e48d52,4588ebd1,353ac908,17739053,"
+           "b2075097,7e0b11ce";
   }
-};
+  return "partitions_read=5186 rows_scanned=486100 matches=45695 "
+         "bytes_read=6728838 total_cost=0x1.e23a5e353f7cfp+7 switches=4 "
+         "crcs=1bd68db3,4d6fa992,198b48ab,f7b95fd2,a38a0c71,ffc497d5,"
+         "3d6b8c63,d678af5e|65d4b272,a6182fdd,b927b747,3bf82355,883083b8,"
+         "d1e085a6,b2d7e08d,948ac718|621562a9,60d7abe1,04c4a76e,95bd827a,"
+         "cc9c666b,1c86b6e8,326c94fb,521a38fb|a4f79694,6ca7857b,1923d0b3,"
+         "f237a64f,8433810b,b39109c6,c277c488,179a5d98";
+}
 
-ComboFingerprint RunCombo(const Table& t, const LayoutGenerator& gen,
-                          const std::vector<Query>& stream,
-                          const std::string& backend_kind, size_t threads,
-                          size_t shards) {
+// Runs the stream through one (backend, threads, shards) combo's live loop.
+testutil::LiveLoopRun RunCombo(const Table& t, const LayoutGenerator& gen,
+                               const std::vector<Query>& stream,
+                               const std::string& backend_kind,
+                               size_t threads, size_t shards) {
   OreoOptions opts = BaseOpts(threads, shards, MakeBackend(backend_kind));
   std::unique_ptr<OreoEngine> engine =
       MakeEngine(&t, &gen, /*time_column=*/0, opts);
   EXPECT_EQ(engine->num_shards(), shards);
-
-  ComboFingerprint fp;
-  EngineSimResult sim = engine->RunTrace(stream, /*record_trace=*/true);
-  EXPECT_EQ(sim.shards.size(), shards);
-  for (const SimResult& shard : sim.shards) {
-    fp.serving_states.push_back(shard.serving_state);
-    fp.switch_events.push_back(shard.switch_events);
-  }
-  fp.query_cost = sim.query_cost;
-  fp.reorg_cost = sim.reorg_cost;
-  fp.num_switches = sim.num_switches;
-
   const std::string dir = testutil::ScratchDir(
       "backend_eq_" + backend_kind + "_t" + std::to_string(threads) + "_s" +
       std::to_string(shards));
-  auto replay = engine->ReplayTrace(sim, /*stride=*/3, dir, threads,
-                                    /*batch_size=*/4);
-  EXPECT_TRUE(replay.ok()) << replay.status().ToString();
-  if (replay.ok()) {
-    fp.replay_switches = replay->num_switches;
-    fp.queries_executed = replay->queries_executed;
-    fp.partitions_read = replay->partitions_read;
-    fp.matches = replay->matches;
-  }
-  for (auto& [path, crc] : testutil::DirCrcs(*opts.storage_backend, dir)) {
-    fp.crcs.emplace_back(path.substr(dir.size()), crc);
-  }
-  return fp;
+  EXPECT_TRUE(engine->AttachPhysical(dir, threads).ok());
+  return testutil::RunLiveLoop(engine.get(), stream, kBatchSize);
 }
 
 TEST(BackendEquivalenceTest, PosixAndInMemoryAreBitIdentical) {
@@ -141,14 +110,13 @@ TEST(BackendEquivalenceTest, PosixAndInMemoryAreBitIdentical) {
   std::vector<Query> stream = TwoPhaseStream();
 
   for (size_t shards : {size_t{1}, size_t{4}}) {
-    ComboFingerprint baseline =
+    testutil::LiveLoopRun baseline =
         RunCombo(t, gen, stream, "posix", /*threads=*/1, shards);
-    ASSERT_FALSE(baseline.crcs.empty());
-    ASSERT_GT(baseline.num_switches, 0) << "fixture too tame";
+    EXPECT_EQ(baseline.Summary(), GoldenSummary(shards));
     for (const std::string backend_kind : {"posix", "inmem"}) {
       for (size_t threads : {size_t{1}, size_t{8}}) {
         if (backend_kind == "posix" && threads == 1) continue;  // baseline
-        ComboFingerprint combo =
+        testutil::LiveLoopRun combo =
             RunCombo(t, gen, stream, backend_kind, threads, shards);
         EXPECT_TRUE(combo == baseline)
             << "fingerprint diverged: backend=" << backend_kind
@@ -223,20 +191,16 @@ TEST(BackendEquivalenceTest, StreamingMatchesGroundTruthOnEveryBackend) {
   }
 }
 
-// The cache read-amplification contract is measured on the fully
-// deterministic replay path (streaming reorg timing could legally vary the
-// number of rewrites, and with it the raw read totals).
+// The cache read-amplification contract. Draining rewrites after every
+// batch fixes the operation sequence, and the default cache does no async
+// prefetch, so the raw read totals are deterministic and pinned.
 TEST(BackendEquivalenceTest, SharedCacheCutsBaseReadsWithoutChangingResults) {
   QdTreeGenerator gen;
   Table t = testutil::MakeEventTable(kRows, kSeed);
   std::vector<Query> stream = TwoPhaseStream();
 
   struct CacheRun {
-    int64_t num_switches = 0;
-    uint64_t queries_executed = 0;
-    uint64_t partitions_read = 0;
-    uint64_t matches = 0;
-    std::vector<std::pair<std::string, uint32_t>> crcs;  // dir-relative
+    testutil::LiveLoopRun live;
     uint64_t base_read_bytes = 0;
   };
   // `cache` null = uncached. Either way the engine stores into a fresh
@@ -249,40 +213,22 @@ TEST(BackendEquivalenceTest, SharedCacheCutsBaseReadsWithoutChangingResults) {
     opts.shared_cache = cache;
     std::unique_ptr<OreoEngine> engine =
         MakeEngine(&t, &gen, /*time_column=*/0, opts);
-    EngineSimResult sim = engine->RunTrace(stream, /*record_trace=*/true);
     std::string dir = testutil::ScratchDir("backend_eq_cache_" + tag);
-    auto replay = engine->ReplayTrace(sim, /*stride=*/3, dir,
-                                      /*num_threads=*/8, /*batch_size=*/8);
-    EXPECT_TRUE(replay.ok()) << replay.status().ToString();
-    if (replay.ok()) {
-      r.num_switches = replay->num_switches;
-      r.queries_executed = replay->queries_executed;
-      r.partitions_read = replay->partitions_read;
-      r.matches = replay->matches;
-    }
-    // Read the final layout back the way the engine's shard 0 does.
-    std::shared_ptr<StorageBackend> view =
-        WrapWithSharedCache(cache, base, /*shard=*/0);
-    for (auto& [path, crc] : testutil::DirCrcs(*view, dir)) {
-      r.crcs.emplace_back(path.substr(dir.size()), crc);
-    }
+    EXPECT_TRUE(engine->AttachPhysical(dir, /*store_threads=*/8).ok());
+    r.live = testutil::RunLiveLoop(engine.get(), stream, kBatchSize);
     r.base_read_bytes = base->stats().read_bytes;
     return r;
   };
 
   CacheRun uncached = run(nullptr, "off");
-  ASSERT_GT(uncached.num_switches, 0) << "fixture too tame";
+  EXPECT_EQ(uncached.live.Summary(), GoldenSummary(1));
 
   std::shared_ptr<SharedBlockCache> cache = MakeSharedBlockCache();
   CacheRun with_cache = run(cache, "on");
 
-  // Result-identical: counters and the final partition bytes agree bit for
-  // bit.
-  EXPECT_EQ(uncached.num_switches, with_cache.num_switches);
-  EXPECT_EQ(uncached.queries_executed, with_cache.queries_executed);
-  EXPECT_EQ(uncached.partitions_read, with_cache.partitions_read);
-  EXPECT_EQ(uncached.matches, with_cache.matches);
-  EXPECT_EQ(uncached.crcs, with_cache.crcs);
+  // Result-identical: decisions, counters and the final partition bytes
+  // (read back through the cache) agree bit for bit.
+  EXPECT_TRUE(uncached.live == with_cache.live);
 
   // And the cache actually absorbed reads: the base backend served
   // measurably fewer bytes than the uncached run's backend did for the
@@ -294,12 +240,12 @@ TEST(BackendEquivalenceTest, SharedCacheCutsBaseReadsWithoutChangingResults) {
   EXPECT_EQ(stats.hit_bytes,
             uncached.base_read_bytes - with_cache.base_read_bytes)
       << "every avoided base read must be accounted as hit bytes";
-  EXPECT_EQ(uncached.base_read_bytes, 582090u);
+  EXPECT_EQ(uncached.base_read_bytes, 839508u);
   // Spill runs bypass the cache: they are neither misses nor
   // invalidations.
   EXPECT_EQ(testutil::CacheCounters(stats, with_cache.base_read_bytes),
-            "hits=93 misses=16 coalesced=0 evictions=0 "
-            "invalidations=8 hit_bytes=461542 base_read_bytes=120548");
+            "hits=145 misses=16 coalesced=0 evictions=0 "
+            "invalidations=8 hit_bytes=718960 base_read_bytes=120548");
 }
 
 }  // namespace

@@ -6,8 +6,9 @@
 //      serving-state traces to feeding the same stream through Step one
 //      query at a time.
 //   2. PhysicalStore::ExecuteQueryBatch produces bit-identical per-query
-//      counters to per-query ExecuteQuery, and a batched ReplayPhysical
-//      leaves bit-identical partition files (CRCs) behind.
+//      counters to per-query ExecuteQuery, and the live loop replaying a
+//      scripted decision trace leaves pinned counters and partition files
+//      (CRCs) at every batch size and thread count.
 //   3. The Layout Manager's incremental per-(state, chunk) cost cache
 //      changes no admission, eviction, pruning or switch decision versus
 //      from-scratch re-evaluation — while measurably reducing the number of
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/crc32.h"
 #include "core/background.h"
 #include "core/oreo.h"
 #include "core/physical.h"
@@ -37,19 +37,6 @@ namespace fs = std::filesystem;
 
 constexpr size_t kBatchSizes[] = {1, 7, 64};
 constexpr size_t kThreadCounts[] = {1, 8};
-
-// CRCs of every remaining object in `dir`, in path order, read through the
-// backend (after a replay the remaining .blk objects are exactly the final
-// layout's partitions). Paths are stripped: replays into different scratch
-// dirs must still fingerprint identically.
-std::vector<uint32_t> DirCrcs(StorageBackend& backend,
-                              const std::string& dir) {
-  std::vector<uint32_t> crcs;
-  for (const auto& [path, crc] : testutil::DirCrcs(backend, dir)) {
-    crcs.push_back(crc);
-  }
-  return crcs;
-}
 
 // ------------------------------------------------- Oreo::RunBatch wall ----
 
@@ -196,44 +183,47 @@ TEST(BatchEquivalenceTest, ExecuteQueryBatchMatchesPerQueryExecution) {
 }
 
 TEST(BatchEquivalenceTest, BatchedReplayMatchesCountersAndFileCrcs) {
+  // s0 -> s1 at query 20 -> s0 at query 44, through the live loop. A batch
+  // scans the snapshot it started on and rewrites are drained after it, so
+  // scan counters depend on the batch size (at 64 both switches fall inside
+  // one batch and nothing is rewritten) but never on the thread count;
+  // matches are ground truth at every batch size.
   Table t = testutil::MakeEventTable(2000, 31);
-  StateRegistry reg;
-  int s0 = reg.Add(testutil::MakeSortedInstance(t, 0, 8, "s0", 3));
-  int s1 = reg.Add(testutil::MakeSortedInstance(t, 1, 8, "s1", 3));
   std::vector<Query> queries =
-      testutil::MakeRangeWorkload(1, 1000, 100, 60, 32);
-  SimResult sim;
-  sim.serving_state.assign(queries.size(), s0);
-  for (size_t i = 20; i < queries.size(); ++i) sim.serving_state[i] = s1;
-  for (size_t i = 44; i < queries.size(); ++i) sim.serving_state[i] = s0;
-
-  std::shared_ptr<StorageBackend> backend = testutil::TestBackend("inmem");
-  std::string base_dir = testutil::ScratchDir("batch_eq_replay_base");
-  auto baseline = ReplayPhysical(t, reg, sim, queries, /*stride=*/2, base_dir,
-                                 /*num_threads=*/1, /*batch_size=*/1, backend);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  std::vector<uint32_t> base_crcs = DirCrcs(*backend, base_dir);
-  ASSERT_FALSE(base_crcs.empty());
-
-  for (size_t threads : kThreadCounts) {
-    for (size_t batch_size : kBatchSizes) {
+      testutil::MakeRangeWorkload(1, 1000, 100, 60, 32, /*assign_ids=*/true);
+  const std::string kCost = " total_cost=0x1.927df3b645a1cp+7 switches=2 ";
+  const std::string kRewrittenCrcs =
+      "crcs=ceb8bb6b,cc6b7f76,ab727713,2faadde2,7009b039,1f791f4d,4f475b9c,"
+      "fa07aa3e";
+  const std::vector<std::pair<size_t, std::string>> kGolden = {
+      {1, "partitions_read=330 rows_scanned=82492 matches=12052 "
+          "bytes_read=1308283" + kCost + kRewrittenCrcs},
+      {7, "partitions_read=304 rows_scanned=76200 matches=12052 "
+          "bytes_read=1168459" + kCost + kRewrittenCrcs},
+      {64, "partitions_read=480 rows_scanned=120000 matches=12052 "
+           "bytes_read=1597860" + kCost +
+           "crcs=30841389,f5a83a31,da06dcc7,b57515a4,b898e3d3,a9e75faa,"
+           "26be0e99,a09c340c"},
+  };
+  QdTreeGenerator gen;
+  for (const auto& [batch_size, golden] : kGolden) {
+    for (size_t threads : kThreadCounts) {
+      OreoOptions opts = SmallOreoOptions(31, threads);
+      opts.storage_backend = testutil::TestBackend("inmem");
+      opts.strategy =
+          testutil::ScriptedSortFactory({0, 1}, 8, 3, {{20, 1}, {44, 0}});
+      std::unique_ptr<OreoEngine> engine = MakeEngine(&t, &gen, 0, opts);
       std::string dir = testutil::ScratchDir(
-          "batch_eq_replay_" + std::to_string(threads) + "_" +
+          "batch_eq_live_" + std::to_string(threads) + "_" +
           std::to_string(batch_size));
-      auto replay = ReplayPhysical(t, reg, sim, queries, /*stride=*/2, dir,
-                                   threads, batch_size, backend);
-      ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-      EXPECT_EQ(baseline->num_switches, replay->num_switches);
-      EXPECT_EQ(baseline->queries_executed, replay->queries_executed);
-      EXPECT_EQ(baseline->partitions_read, replay->partitions_read);
-      EXPECT_EQ(baseline->matches, replay->matches);
-      EXPECT_EQ(base_crcs, DirCrcs(*backend, dir))
-          << "partition files diverged at threads=" << threads
-          << " batch_size=" << batch_size;
+      ASSERT_TRUE(engine->AttachPhysical(dir, threads).ok());
+      EXPECT_EQ(testutil::RunLiveLoop(engine.get(), queries, batch_size)
+                    .Summary(),
+                golden)
+          << "threads=" << threads << " batch_size=" << batch_size;
       fs::remove_all(dir);
     }
   }
-  fs::remove_all(base_dir);
 }
 
 // -------------------------------- incremental layout-generation wall ----

@@ -1,11 +1,11 @@
 // Tests for src/core: StateRegistry, LayoutManager (Algorithm 5 admission,
-// eviction, generation cadence), strategies, and simulator accounting
-// (including reorganization-delay semantics).
+// eviction, generation cadence), strategies, and the engine's cost
+// accounting for every strategy run through Oreo::Run (including
+// reorganization-delay semantics).
 #include <gtest/gtest.h>
 
 #include "core/layout_manager.h"
 #include "core/oreo.h"
-#include "core/simulator.h"
 #include "core/state_registry.h"
 #include "core/strategy.h"
 #include "layout/qdtree_layout.h"
@@ -186,100 +186,132 @@ TEST(LayoutManagerTest, AdmitStateHonorsEpsilonBoundary) {
 
 // ---------------------------------------------------------- Simulator ----
 
+// Oreo options for the fixed-state-space runs below: the Layout Manager only
+// supplies the default layout, which the scripted strategies never use.
+OreoOptions FixedOpts(double alpha, size_t reorg_delay = 0) {
+  OreoOptions o;
+  o.alpha = alpha;
+  o.reorg_delay = reorg_delay;
+  o.dataset_sample_rows = 400;
+  return o;
+}
+
+// The name of the layout that served query `t` of a recorded run.
+std::string ServedBy(const Oreo& oreo, const SimResult& r, size_t t) {
+  return oreo.registry().Get(r.serving_state[t]).name();
+}
+
 TEST(SimulatorTest, StaticAccountingIsExact) {
   Table t = MakeTable(1000, 16);
-  StateRegistry reg;
-  int s = reg.Add(MakeSortedInstance(t, 1, 8, "by_qty"));
-  StaticStrategy strategy(s);
+  QdTreeGenerator gen;
+  OreoOptions opts = FixedOpts(80);
+  int s = -1;
+  opts.strategy = [&s](const Table& table, StateRegistry* reg,
+                       const LayoutManager*, int, double) {
+    s = reg->Add(MakeSortedInstance(table, 1, 8, "by_qty"));
+    return std::make_unique<StaticStrategy>(s);
+  };
+  Oreo oreo(&t, &gen, 0, opts);
   std::vector<Query> queries = QtyRangeQueries(50, 100, 17);
-  SimOptions opts;
-  opts.alpha = 80;
-  opts.record_trace = true;
-  SimResult r = RunSimulation(&strategy, nullptr, &reg, queries, opts);
+  SimResult r = oreo.Run(queries, /*record_trace=*/true);
+  EXPECT_EQ(r.method, "static");
   EXPECT_EQ(r.num_switches, 0);
   EXPECT_DOUBLE_EQ(r.reorg_cost, 0.0);
   double manual = 0;
-  for (const Query& q : queries) manual += reg.Cost(s, q);
+  for (const Query& q : queries) manual += oreo.registry().Cost(s, q);
   EXPECT_NEAR(r.query_cost, manual, 1e-9);
   ASSERT_EQ(r.cumulative.size(), queries.size());
   EXPECT_NEAR(r.cumulative.back(), r.total_cost(), 1e-9);
   for (int st : r.serving_state) EXPECT_EQ(st, s);
 }
 
-// A scripted strategy for testing the simulator's switch/delay handling.
-class ScriptedStrategy : public Strategy {
+// A generator that counts its calls.
+class CountingGenerator : public LayoutGenerator {
  public:
-  ScriptedStrategy(std::vector<std::pair<int64_t, int>> switches, int initial)
-      : switches_(std::move(switches)), current_(initial) {}
-  std::string name() const override { return "scripted"; }
-  int OnQuery(const Query& q, bool* switched) override {
-    *switched = false;
-    for (const auto& [at, to] : switches_) {
-      if (at == q.id) {
-        current_ = to;
-        *switched = true;
-      }
-    }
-    return current_;
+  std::string name() const override { return "counting"; }
+  std::unique_ptr<Layout> Generate(const Table& sample,
+                                   const std::vector<Query>& workload,
+                                   uint32_t target_partitions) const override {
+    ++calls;
+    return inner_.Generate(sample, workload, target_partitions);
   }
-  int current_state() const override { return current_; }
+  mutable size_t calls = 0;
 
  private:
-  std::vector<std::pair<int64_t, int>> switches_;
-  int current_;
+  QdTreeGenerator inner_;
 };
+
+TEST(SimulatorTest, FixedStateSpaceMakesNoGeneratorCalls) {
+  Table t = MakeTable(2000, 40);
+  std::vector<Query> queries = QtyRangeQueries(300, 50, 41);
+  OreoOptions opts = FixedOpts(5.0);
+  opts.generate_every = 50;
+  opts.window_size = 50;
+  opts.target_partitions = 8;
+
+  // Control: OREO's dynamic state space generates at every cadence.
+  CountingGenerator oreo_gen;
+  Oreo dynamic(&t, &oreo_gen, 0, opts);
+  const size_t before = oreo_gen.calls;
+  dynamic.Run(queries);
+  EXPECT_GT(oreo_gen.calls, before);
+
+  CountingGenerator gen;
+  int s = -1;
+  opts.strategy = [&s](const Table& table, StateRegistry* reg,
+                       const LayoutManager*, int, double) {
+    s = reg->Add(MakeSortedInstance(table, 1, 8, "by_qty"));
+    return std::make_unique<StaticStrategy>(s);
+  };
+  Oreo fixed(&t, &gen, 0, opts);
+  const size_t at_start = gen.calls;
+  SimResult r = fixed.Run(queries);
+  EXPECT_EQ(gen.calls, at_start) << "a fixed state space generated layouts";
+  EXPECT_EQ(fixed.registry().num_total(), 2u);  // default + static
+  double manual = 0;
+  for (const Query& q : queries) manual += fixed.registry().Cost(s, q);
+  EXPECT_EQ(r.query_cost, manual);
+  EXPECT_EQ(r.total_cost(), manual);
+}
 
 TEST(SimulatorTest, SwitchChargesAlphaImmediately) {
   Table t = MakeTable(1000, 18);
-  StateRegistry reg;
-  int s0 = reg.Add(MakeSortedInstance(t, 0, 8, "s0"));
-  int s1 = reg.Add(MakeSortedInstance(t, 1, 8, "s1"));
-  (void)s0;
-  ScriptedStrategy strategy({{10, s1}}, s0);
-  std::vector<Query> queries = QtyRangeQueries(30, 100, 19);
-  SimOptions opts;
-  opts.alpha = 7.5;
-  opts.record_trace = true;
-  SimResult r = RunSimulation(&strategy, nullptr, &reg, queries, opts);
+  QdTreeGenerator gen;
+  OreoOptions opts = FixedOpts(7.5);
+  opts.strategy = testutil::ScriptedSortFactory({0, 1}, 8, 5, {{10, 1}});
+  Oreo oreo(&t, &gen, 0, opts);
+  SimResult r = oreo.Run(QtyRangeQueries(30, 100, 19), /*record_trace=*/true);
   EXPECT_EQ(r.num_switches, 1);
   EXPECT_DOUBLE_EQ(r.reorg_cost, 7.5);
   // Delta = 0: the switch takes effect for the deciding query itself.
-  EXPECT_EQ(r.serving_state[9], s0);
-  EXPECT_EQ(r.serving_state[10], s1);
+  EXPECT_EQ(ServedBy(oreo, r, 0), "s0");  // starts on the script's layout
+  EXPECT_EQ(ServedBy(oreo, r, 9), "s0");
+  EXPECT_EQ(ServedBy(oreo, r, 10), "s1");
 }
 
 TEST(SimulatorTest, DelayPostponesServingSwitchButNotCharge) {
   Table t = MakeTable(1000, 20);
-  StateRegistry reg;
-  int s0 = reg.Add(MakeSortedInstance(t, 0, 8, "s0"));
-  int s1 = reg.Add(MakeSortedInstance(t, 1, 8, "s1"));
-  ScriptedStrategy strategy({{10, s1}}, s0);
-  std::vector<Query> queries = QtyRangeQueries(30, 100, 21);
-  SimOptions opts;
-  opts.alpha = 5.0;
-  opts.reorg_delay = 8;
-  opts.record_trace = true;
-  SimResult r = RunSimulation(&strategy, nullptr, &reg, queries, opts);
+  QdTreeGenerator gen;
+  OreoOptions opts = FixedOpts(5.0, /*reorg_delay=*/8);
+  opts.strategy = testutil::ScriptedSortFactory({0, 1}, 8, 5, {{10, 1}});
+  Oreo oreo(&t, &gen, 0, opts);
+  SimResult r = oreo.Run(QtyRangeQueries(30, 100, 21), /*record_trace=*/true);
   EXPECT_DOUBLE_EQ(r.reorg_cost, 5.0);  // charged at decision time
   // Old layout serves through the delay window.
-  for (int tq = 10; tq < 18; ++tq) EXPECT_EQ(r.serving_state[static_cast<size_t>(tq)], s0);
-  EXPECT_EQ(r.serving_state[18], s1);
+  for (size_t tq = 10; tq < 18; ++tq) EXPECT_EQ(ServedBy(oreo, r, tq), "s0");
+  EXPECT_EQ(ServedBy(oreo, r, 18), "s1");
 }
 
 TEST(SimulatorTest, DelayIncreasesQueryCostWhenNewLayoutBetter) {
   // The paper's Delta ablation: with the same decisions, larger Delta must
   // produce >= query cost (savings arrive later).
   Table t = MakeTable(4000, 22);
-  StateRegistry reg;
-  int s0 = reg.Add(MakeSortedInstance(t, 0, 16, "s0"));
-  int s1 = reg.Add(MakeSortedInstance(t, 1, 16, "s1"));
+  QdTreeGenerator gen;
   std::vector<Query> queries = QtyRangeQueries(200, 60, 23);
   auto run = [&](size_t delay) {
-    ScriptedStrategy strategy({{20, s1}}, s0);
-    SimOptions opts;
-    opts.alpha = 80;
-    opts.reorg_delay = delay;
-    return RunSimulation(&strategy, nullptr, &reg, queries, opts);
+    OreoOptions opts = FixedOpts(80, delay);
+    opts.strategy = testutil::ScriptedSortFactory({0, 1}, 16, 5, {{20, 1}});
+    return Oreo(&t, &gen, 0, opts).Run(queries);
   };
   SimResult d0 = run(0);
   SimResult d40 = run(40);
@@ -291,37 +323,45 @@ TEST(SimulatorTest, DelayIncreasesQueryCostWhenNewLayoutBetter) {
 
 // ---------------------------------------------------------- Strategies ----
 
+// The manager settings of the LayoutManager suite above, as engine options.
+OreoOptions ManagedOpts(size_t gen_every, double epsilon, size_t max_states) {
+  OreoOptions o;
+  o.window_size = 50;
+  o.generate_every = gen_every;
+  o.epsilon = epsilon;
+  o.max_states = max_states;
+  o.target_partitions = 8;
+  o.dataset_sample_rows = 400;
+  o.admission_sample_size = 30;
+  return o;
+}
+
 TEST(StrategyTest, GreedySwitchesToBetterCandidateIgnoringAlpha) {
   Table t = MakeTable(3000, 24);
-  StateRegistry reg;
   QdTreeGenerator gen;
-  LayoutManagerOptions mopts = ManagerOpts(50, 0.02, 8);
-  LayoutManager mgr(&t, &gen, &reg, mopts);
-  int def = mgr.InitDefaultState(0);
-  GreedyStrategy strategy(&reg, &mgr, def);
-  SimOptions opts;
+  OreoOptions opts = ManagedOpts(50, 0.02, 8);
   opts.alpha = 1e6;  // Greedy must ignore this
-  SimResult r =
-      RunSimulation(&strategy, &mgr, &reg, QtyRangeQueries(300, 50, 25), opts);
+  opts.strategy = [](const Table&, StateRegistry* reg,
+                     const LayoutManager* mgr, int def, double) {
+    return std::make_unique<GreedyStrategy>(reg, mgr, def);
+  };
+  Oreo oreo(&t, &gen, 0, opts);
+  SimResult r = oreo.Run(QtyRangeQueries(300, 50, 25));
+  EXPECT_EQ(r.method, "greedy");
   EXPECT_GE(r.num_switches, 1);
 }
 
 TEST(StrategyTest, RegretWaitsForAlphaWorthOfSavings) {
   Table t = MakeTable(3000, 26);
-  StateRegistry reg;
   QdTreeGenerator gen;
-  LayoutManager mgr(&t, &gen, &reg, ManagerOpts(50, 0.02, 8));
-  mgr.InitDefaultState(0);
-
   auto run = [&](double alpha) {
-    StateRegistry reg2;
-    LayoutManager mgr2(&t, &gen, &reg2, ManagerOpts(50, 0.02, 8));
-    int d2 = mgr2.InitDefaultState(0);
-    RegretStrategy strategy(&reg2, alpha, d2);
-    SimOptions opts;
+    OreoOptions opts = ManagedOpts(50, 0.02, 8);
     opts.alpha = alpha;
-    return RunSimulation(&strategy, &mgr2, &reg2, QtyRangeQueries(400, 50, 27),
-                         opts);
+    opts.strategy = [](const Table&, StateRegistry* reg, const LayoutManager*,
+                       int def, double a) {
+      return std::make_unique<RegretStrategy>(reg, a, def);
+    };
+    return Oreo(&t, &gen, 0, opts).Run(QtyRangeQueries(400, 50, 27));
   };
   SimResult cheap = run(1.0);
   SimResult pricey = run(1e6);
@@ -331,32 +371,22 @@ TEST(StrategyTest, RegretWaitsForAlphaWorthOfSavings) {
 
 TEST(StrategyTest, OreoSwitchesUnderDriftAndRespectsRegistry) {
   Table t = MakeTable(3000, 28);
-  StateRegistry reg;
   QdTreeGenerator gen;
-  LayoutManager mgr(&t, &gen, &reg, ManagerOpts(40, 0.02, 8));
-  int def = mgr.InitDefaultState(0);
-  mts::DumtsOptions dopts;
-  dopts.alpha = 3.0;
-  dopts.seed = 3;
-  OreoStrategy strategy(&reg, def, dopts);
-  SimOptions opts;
+  OreoOptions opts = ManagedOpts(40, 0.02, 8);
   opts.alpha = 3.0;
-  opts.record_trace = true;
-  SimResult r =
-      RunSimulation(&strategy, &mgr, &reg, QtyRangeQueries(400, 50, 29), opts);
+  opts.seed = 3;
+  Oreo oreo(&t, &gen, 0, opts);
+  SimResult r = oreo.Run(QtyRangeQueries(400, 50, 29), /*record_trace=*/true);
   EXPECT_GE(r.num_switches, 1);
   // Serving states must always be registered.
   for (int s : r.serving_state) {
-    EXPECT_NO_FATAL_FAILURE(reg.Get(s));
+    EXPECT_NO_FATAL_FAILURE(oreo.registry().Get(s));
   }
 }
 
 TEST(StrategyTest, OfflineOptimalSwitchesExactlyAtTemplateChanges) {
   // Two fake templates served by two states.
   Table t = MakeTable(1000, 30);
-  StateRegistry reg;
-  int s0 = reg.Add(MakeSortedInstance(t, 0, 8, "s0"));
-  int s1 = reg.Add(MakeSortedInstance(t, 1, 8, "s1"));
   workloads::Workload wl;
   for (int i = 0; i < 40; ++i) {
     Query q;
@@ -367,10 +397,16 @@ TEST(StrategyTest, OfflineOptimalSwitchesExactlyAtTemplateChanges) {
   }
   wl.segment_starts = {0, 20};
   wl.segment_templates = {0, 1};
-  OfflineOptimalStrategy strategy({s0, s1}, &wl);
-  SimOptions opts;
-  opts.alpha = 10;
-  SimResult r = RunSimulation(&strategy, nullptr, &reg, wl.queries, opts);
+  QdTreeGenerator gen;
+  OreoOptions opts = FixedOpts(10);
+  opts.strategy = [&wl](const Table& table, StateRegistry* reg,
+                        const LayoutManager*, int, double) {
+    int s0 = reg->Add(MakeSortedInstance(table, 0, 8, "s0"));
+    int s1 = reg->Add(MakeSortedInstance(table, 1, 8, "s1"));
+    return std::make_unique<OfflineOptimalStrategy>(std::vector<int>{s0, s1},
+                                                    &wl);
+  };
+  SimResult r = Oreo(&t, &gen, 0, opts).Run(wl.queries);
   EXPECT_EQ(r.num_switches, 1);
   EXPECT_DOUBLE_EQ(r.reorg_cost, 10.0);
 }

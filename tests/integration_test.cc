@@ -1,17 +1,21 @@
 // End-to-end integration tests: the full OREO loop (layout manager +
-// D-UMTS reorganizer + simulator) on the paper's workload shapes, at reduced
-// scale. Verifies the headline qualitative results: OREO adapts to drift,
-// beats the static layout on drifting workloads, stays between Greedy and
-// Regret in reorganization aggressiveness, and physical replay agrees with
-// the logical trace.
+// D-UMTS reorganizer) and every baseline, all run through the engine's one
+// decision loop on the paper's workload shapes, at reduced scale. Verifies
+// the headline qualitative results: OREO adapts to drift, beats the static
+// layout on drifting workloads, stays between Greedy and Regret in
+// reorganization aggressiveness, and the live physical loop agrees with the
+// logical trace. The baselines' traces are pinned to golden values.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
 
-#include "core/oreo.h"
 #include "core/background.h"
+#include "core/engine.h"
+#include "core/oreo.h"
 #include "core/physical.h"
-#include "core/simulator.h"
 #include "core/strategy.h"
 #include "layout/qdtree_layout.h"
 #include "test_util.h"
@@ -50,22 +54,61 @@ OreoOptions SmallOpts(double alpha = 40.0) {
   return o;
 }
 
-SimResult RunStatic(const Fixture& f, const LayoutGenerator& gen,
-                    const OreoOptions& opts) {
-  StateRegistry reg;
-  Rng rng(17);
-  Table sample = f.ds.table.SampleRows(opts.dataset_sample_rows, &rng);
-  std::vector<Query> wl_sample;
-  for (size_t i = 0; i < f.wl.queries.size(); i += 10) {
-    wl_sample.push_back(f.wl.queries[i]);
+// One recorded run in a golden-comparable form: costs as hex floats, every
+// switch event with layout names (ids shift with the registry's contents),
+// and an FNV-1a hash of the cumulative-cost trace's bits.
+std::string TraceSummary(const Oreo& oreo, const SimResult& r) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "query=%a reorg=%a switches=%lld events=",
+                r.query_cost, r.reorg_cost,
+                static_cast<long long>(r.num_switches));
+  std::string out = buf;
+  for (const auto& [t, from, to] : r.switch_events) {
+    out += std::to_string(t) + ":" + oreo.registry().Get(from).name() + ">" +
+           oreo.registry().Get(to).name() + ",";
   }
-  auto layout = gen.Generate(sample, wl_sample, opts.target_partitions);
-  int id = reg.Add(Materialize(
-      "static", std::shared_ptr<const Layout>(std::move(layout)), f.ds.table));
-  StaticStrategy strategy(id);
-  SimOptions sim;
-  sim.alpha = opts.alpha;
-  return RunSimulation(&strategy, nullptr, &reg, f.wl.queries, sim);
+  uint64_t hash = 1469598103934665603ULL;
+  for (double d : r.cumulative) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (bits >> (8 * i)) & 0xff;
+      hash *= 1099511628211ULL;
+    }
+  }
+  std::snprintf(buf, sizeof(buf), " cumulative=%016" PRIx64, hash);
+  return out + buf;
+}
+
+// Runs `strategy` through Oreo::Run with a recorded trace and returns its
+// golden-comparable summary; `out` (optional) receives the result.
+std::string RunSummary(const Fixture& f, const LayoutGenerator& gen,
+                       OreoOptions opts, StrategyFactory strategy,
+                       SimResult* out = nullptr) {
+  opts.strategy = std::move(strategy);
+  Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
+  SimResult r = oreo.Run(f.wl.queries, /*record_trace=*/true);
+  std::string summary = TraceSummary(oreo, r);
+  if (out != nullptr) *out = std::move(r);
+  return summary;
+}
+
+// The Static baseline: one layout built with whole-workload knowledge.
+StrategyFactory StaticFactory(const Fixture& f, const LayoutGenerator& gen,
+                              const OreoOptions& opts) {
+  return [&f, &gen, opts](const Table& table, StateRegistry* reg,
+                          const LayoutManager*, int, double) {
+    Rng rng(17);
+    Table sample = table.SampleRows(opts.dataset_sample_rows, &rng);
+    std::vector<Query> wl_sample;
+    for (size_t i = 0; i < f.wl.queries.size(); i += 10) {
+      wl_sample.push_back(f.wl.queries[i]);
+    }
+    auto layout = gen.Generate(sample, wl_sample, opts.target_partitions);
+    int id = reg->Add(Materialize(
+        "static", std::shared_ptr<const Layout>(std::move(layout)), table));
+    return std::make_unique<StaticStrategy>(id);
+  };
 }
 
 TEST(IntegrationTest, OreoBeatsStaticOnDriftingTpch) {
@@ -77,7 +120,11 @@ TEST(IntegrationTest, OreoBeatsStaticOnDriftingTpch) {
 
   Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
   SimResult oreo_result = oreo.Run(f.wl.queries);
-  SimResult static_result = RunStatic(f, gen, opts);
+  SimResult static_result;
+  EXPECT_EQ(RunSummary(f, gen, opts, StaticFactory(f, gen, opts),
+                       &static_result),
+            "query=0x1.ccbfc361133a3p+10 reorg=0x0p+0 switches=0 events= "
+            "cumulative=46b532e0df578e7f");
 
   EXPECT_LT(oreo_result.total_cost(), static_result.total_cost());
   EXPECT_GE(oreo_result.num_switches, 1);
@@ -101,32 +148,32 @@ TEST(IntegrationTest, GreedySwitchesAtLeastAsOftenAsOreoWhichBeatsRegret) {
   QdTreeGenerator gen;
   OreoOptions opts = SmallOpts(60.0);
 
-  auto run_with_manager = [&](auto make_strategy) {
-    StateRegistry reg;
-    LayoutManagerOptions mopts;
-    mopts.window_size = opts.window_size;
-    mopts.generate_every = opts.generate_every;
-    mopts.epsilon = opts.epsilon;
-    mopts.max_states = opts.max_states;
-    mopts.target_partitions = opts.target_partitions;
-    mopts.dataset_sample_rows = opts.dataset_sample_rows;
-    mopts.seed = opts.seed;
-    LayoutManager mgr(&f.ds.table, &gen, &reg, mopts);
-    int def = mgr.InitDefaultState(f.ds.time_column);
-    auto strategy = make_strategy(&reg, &mgr, def);
-    SimOptions sim;
-    sim.alpha = opts.alpha;
-    return RunSimulation(strategy.get(), &mgr, &reg, f.wl.queries, sim);
-  };
-
-  SimResult greedy = run_with_manager(
-      [&](StateRegistry* reg, LayoutManager* mgr, int def) {
-        return std::make_unique<GreedyStrategy>(reg, mgr, def);
-      });
-  SimResult regret = run_with_manager(
-      [&](StateRegistry* reg, LayoutManager* /*mgr*/, int def) {
-        return std::make_unique<RegretStrategy>(reg, opts.alpha, def);
-      });
+  // All three share the engine's candidate pipeline (the manager OREO
+  // runs); Greedy and Regret differ only in the strategy.
+  SimResult greedy;
+  EXPECT_EQ(
+      RunSummary(f, gen, opts,
+                 [](const Table&, StateRegistry* reg, const LayoutManager* mgr,
+                    int def, double) {
+                   return std::make_unique<GreedyStrategy>(reg, mgr, def);
+                 },
+                 &greedy),
+      "query=0x1.07ebc131d5ac5p+10 reorg=0x1.a4p+8 switches=7 "
+      "events=100:default:sort(l_shipdate, k=16)>qdtree@q100,"
+      "200:qdtree@q100>qdtree@q200,300:qdtree@q200>qdtree@q300,"
+      "600:qdtree@q300>qdtree@q600,1100:qdtree@q600>qdtree@q1100,"
+      "1300:qdtree@q1100>qdtree@q1300,2300:qdtree@q1300>qdtree@q2300, "
+      "cumulative=355b041e321b8288");
+  SimResult regret;
+  EXPECT_EQ(
+      RunSummary(f, gen, opts,
+                 [](const Table&, StateRegistry* reg, const LayoutManager*,
+                    int def, double alpha) {
+                   return std::make_unique<RegretStrategy>(reg, alpha, def);
+                 },
+                 &regret),
+      "query=0x1.0a5794f536bf7p+10 reorg=0x0p+0 switches=0 events= "
+      "cumulative=9bd9f85a0dbf1de7");
   Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
   SimResult oreo_result = oreo.Run(f.wl.queries);
 
@@ -141,29 +188,52 @@ TEST(IntegrationTest, MtsOptimalAndOfflineOptimalOrdering) {
   // the query cost of MTS-Optimal over the same per-template state space.
   Fixture f = MakeFixture("tpch", 15000, 2000, 5, 19);
   QdTreeGenerator gen;
-  Rng rng(23);
-  Table sample = f.ds.table.SampleRows(800, &rng);
+  OreoOptions opts = SmallOpts(40.0);
+  auto template_states = [&](const Table& table, StateRegistry* reg) {
+    Rng rng(23);
+    Table sample = table.SampleRows(800, &rng);
+    return BuildPerTemplateStates(table, sample, f.ds.templates, gen, 16, 100,
+                                  29, reg);
+  };
 
-  StateRegistry reg;
-  std::vector<int> tpl_states = BuildPerTemplateStates(
-      f.ds.table, sample, f.ds.templates, gen, 16, 100, 29, &reg);
+  SimResult off;
+  EXPECT_EQ(
+      RunSummary(f, gen, opts,
+                 [&](const Table& table, StateRegistry* reg,
+                     const LayoutManager*, int, double) {
+                   return std::make_unique<OfflineOptimalStrategy>(
+                       template_states(table, reg), &f.wl);
+                 },
+                 &off),
+      "query=0x1.800e78f7f1cep+7 reorg=0x1.4p+7 switches=4 "
+      "events=574:template:q14:qdtree>template:q4:qdtree,"
+      "856:template:q4:qdtree>template:q6:qdtree,"
+      "1321:template:q6:qdtree>template:q14:qdtree,"
+      "1696:template:q14:qdtree>template:q3:qdtree, "
+      "cumulative=ba28d8175e8116f6");
 
-  SimOptions sim;
-  sim.alpha = 40.0;
-
-  OfflineOptimalStrategy offline(tpl_states, &f.wl);
-  SimResult off = RunSimulation(&offline, nullptr, &reg, f.wl.queries, sim);
-
-  mts::DumtsOptions dopts;
-  dopts.alpha = sim.alpha;
-  dopts.gamma = 1.0;
-  dopts.seed = 31;
-  MtsOptimalStrategy mts_opt(&reg, tpl_states,
-                             tpl_states[static_cast<size_t>(
-                                 f.wl.queries.front().template_id)],
-                             dopts);
-  SimResult mts_result =
-      RunSimulation(&mts_opt, nullptr, &reg, f.wl.queries, sim);
+  SimResult mts_result;
+  EXPECT_EQ(
+      RunSummary(f, gen, opts,
+                 [&](const Table& table, StateRegistry* reg,
+                     const LayoutManager*, int, double alpha) {
+                   std::vector<int> states = template_states(table, reg);
+                   mts::DumtsOptions dopts;
+                   dopts.alpha = alpha;
+                   dopts.gamma = 1.0;
+                   dopts.seed = 31;
+                   const int initial = states[static_cast<size_t>(
+                       f.wl.queries.front().template_id)];
+                   return std::make_unique<MtsOptimalStrategy>(
+                       reg, std::move(states), initial, dopts);
+                 },
+                 &mts_result),
+      "query=0x1.e1af57ca7a9d8p+7 reorg=0x1.4p+7 switches=4 "
+      "events=818:template:q14:qdtree>template:q4:qdtree,"
+      "1042:template:q4:qdtree>template:q14:qdtree,"
+      "1058:template:q14:qdtree>template:q6:qdtree,"
+      "1491:template:q6:qdtree>template:q14:qdtree, "
+      "cumulative=fb55abb470b78a39");
 
   EXPECT_LE(off.query_cost, mts_result.query_cost * 1.05);
   // Offline switches exactly at template changes: segments - 1.
@@ -172,6 +242,10 @@ TEST(IntegrationTest, MtsOptimalAndOfflineOptimalOrdering) {
 }
 
 TEST(IntegrationTest, PhysicalReplayAgreesWithLogicalTrace) {
+  // The live loop executes every query of the logical run physically, in
+  // batches of 64, draining rewrites after each batch. Its decisions are the
+  // logical run's, its matches are ground truth, and its counters and final
+  // partition files are pinned.
   namespace fs = std::filesystem;
   Fixture f = MakeFixture("telemetry", 8000, 1200, 4, 37);
   QdTreeGenerator gen;
@@ -180,12 +254,27 @@ TEST(IntegrationTest, PhysicalReplayAgreesWithLogicalTrace) {
   Oreo oreo(&f.ds.table, &gen, f.ds.time_column, opts);
   SimResult sim = oreo.Run(f.wl.queries, /*record_trace=*/true);
 
-  std::string dir = testutil::ScratchDir("integration_replay");
-  auto replay = ReplayPhysical(f.ds.table, oreo.registry(), sim, f.wl.queries,
-                               /*stride=*/50, dir);
-  ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-  EXPECT_EQ(replay->num_switches, sim.num_switches);
-  EXPECT_GT(replay->query_seconds, 0.0);
+  opts.storage_backend = MakeInMemoryBackend();
+  std::unique_ptr<OreoEngine> engine =
+      MakeEngine(&f.ds.table, &gen, f.ds.time_column, opts);
+  std::string dir = testutil::ScratchDir("integration_live");
+  ASSERT_TRUE(engine->AttachPhysical(dir).ok());
+  std::vector<uint64_t> matches;
+  testutil::LiveLoopRun live =
+      testutil::RunLiveLoop(engine.get(), f.wl.queries, 64, &matches);
+  EXPECT_EQ(live.states, sim.serving_state);
+  EXPECT_EQ(live.num_switches, sim.num_switches);
+  EXPECT_EQ(live.total_cost, sim.total_cost());
+  ASSERT_EQ(matches.size(), f.wl.queries.size());
+  for (size_t i = 0; i < matches.size(); i += 50) {
+    EXPECT_EQ(matches[i], CountMatches(f.ds.table, f.wl.queries[i]));
+  }
+  EXPECT_EQ(live.Summary(),
+            "partitions_read=3398 rows_scanned=2030623 matches=147882 "
+            "bytes_read=135891108 total_cost=0x1.4249eb851eb99p+8 switches=2 "
+            "crcs=7839b323,ebc695ad,7628a00e,0352b4fa,2db901e7,b5de9fa0,"
+            "a4e68da5,6ee903b9,4592e538,805af09f,73249585,62b99b52,aa867119,"
+            "427b68d1,4a41ba60,7094c1d3");
   fs::remove_all(dir);
 }
 

@@ -13,6 +13,7 @@
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "core/oreo.h"
+#include "core/engine.h"
 #include "core/physical.h"
 #include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
@@ -198,34 +199,33 @@ TEST(ParallelEquivalenceTest, KernelModesBitIdentical) {
   EXPECT_EQ(scalar_sim.cumulative, vector_sim.cumulative);
 }
 
-// ReplayPhysical ties the two layers together: same trace, same files, same
-// counters at any pool size (only wall-clock seconds may differ).
-TEST(ParallelEquivalenceTest, ReplayPhysicalCountersMatch) {
+// The live loop ties the two layers together: the same scripted trace
+// leaves the same counters and files at any pool size (only wall-clock
+// seconds may differ), pinned to golden values.
+TEST(ParallelEquivalenceTest, LiveLoopCountersMatchAcrossThreadCounts) {
   Table t = testutil::MakeEventTable(2000, 31);
-  StateRegistry reg;
-  int s0 = reg.Add(testutil::MakeSortedInstance(t, 0, 8, "s0", 3));
-  int s1 = reg.Add(testutil::MakeSortedInstance(t, 1, 8, "s1", 3));
   std::vector<Query> queries =
-      testutil::MakeRangeWorkload(1, 1000, 100, 24, 32);
-  SimResult sim;
-  sim.serving_state.assign(queries.size(), s0);
-  for (size_t i = 12; i < queries.size(); ++i) sim.serving_state[i] = s1;
-
-  auto baseline = ReplayPhysical(t, reg, sim, queries, /*stride=*/2,
-                                 testutil::ScratchDir("par_eq_replay_1"),
-                                 /*num_threads=*/1, /*batch_size=*/1,
-                                 testutil::TestBackend("inmem"));
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  for (size_t threads : {2u, 8u}) {
-    auto parallel = ReplayPhysical(
-        t, reg, sim, queries, /*stride=*/2,
-        testutil::ScratchDir("par_eq_replay_" + std::to_string(threads)),
-        threads, /*batch_size=*/1, testutil::TestBackend("inmem"));
-    ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-    EXPECT_EQ(baseline->num_switches, parallel->num_switches);
-    EXPECT_EQ(baseline->queries_executed, parallel->queries_executed);
-    EXPECT_EQ(baseline->partitions_read, parallel->partitions_read);
-    EXPECT_EQ(baseline->matches, parallel->matches);
+      testutil::MakeRangeWorkload(1, 1000, 100, 24, 32, /*assign_ids=*/true);
+  QdTreeGenerator gen;
+  for (size_t threads : {1u, 2u, 8u}) {
+    OreoOptions opts;
+    opts.num_threads = threads;
+    opts.dataset_sample_rows = 400;
+    opts.storage_backend = testutil::TestBackend("inmem");
+    opts.strategy = testutil::ScriptedSortFactory({0, 1}, 8, 3, {{12, 1}});
+    std::unique_ptr<OreoEngine> engine = MakeEngine(&t, &gen, 0, opts);
+    ASSERT_TRUE(engine
+                    ->AttachPhysical(testutil::ScratchDir(
+                                         "par_eq_live_" +
+                                         std::to_string(threads)),
+                                     threads)
+                    .ok());
+    EXPECT_EQ(testutil::RunLiveLoop(engine.get(), queries, 4).Summary(),
+              "partitions_read=142 rows_scanned=35516 matches=4763 "
+              "bytes_read=472896 total_cost=0x1.7a5a9fbe76c8bp+6 switches=1 "
+              "crcs=48ba249a,ae5deefe,806c910e,cf47d4ef,416f95fc,f9587406,"
+              "be023d8f,48c2a8cd")
+        << "threads=" << threads;
   }
 }
 

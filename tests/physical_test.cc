@@ -1,6 +1,6 @@
 // Tests for the physical execution substrate: materialization, query
 // execution with pruning, full reorganization (row preservation), and the
-// replay harness used by the Figure 3 benchmark.
+// engine's live loop that the Figure 3 benchmark runs every method through.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -8,8 +8,9 @@
 
 #include "core/background.h"
 #include "core/physical.h"
-#include "core/simulator.h"
+#include "core/sharded_oreo.h"
 #include "core/strategy.h"
+#include "layout/qdtree_layout.h"
 #include "layout/sorted_layout.h"
 #include "test_util.h"
 
@@ -179,13 +180,11 @@ TEST(PhysicalStoreTest, ReorganizeImprovesSkippingForNewWorkload) {
   EXPECT_EQ(after->matches, before->matches);
 }
 
-TEST(ReplayPhysicalTest, FollowsDecisionTrace) {
+// The live loop follows a scripted decision trace: the batch that decides
+// the switch still scans the old layout, and the rewrite drained after it
+// serves every later batch. Counters and final files are pinned.
+TEST(LiveLoopTest, FollowsScriptedDecisionTrace) {
   Table t = MakeTable(3000, 6);
-  StateRegistry reg;
-  int s0 = reg.Add(SortedInstance(t, 0, 8, "s0"));
-  int s1 = reg.Add(SortedInstance(t, 1, 8, "s1"));
-  (void)s0;
-  // Build a fake simulation trace: switch to s1 at query 10.
   std::vector<Query> queries;
   Rng rng(7);
   for (int i = 0; i < 30; ++i) {
@@ -195,17 +194,99 @@ TEST(ReplayPhysicalTest, FollowsDecisionTrace) {
     q.conjuncts = {Predicate::Between(1, Value(lo), Value(lo + 100))};
     queries.push_back(q);
   }
-  SimResult sim;
-  sim.serving_state.assign(30, s0);
-  for (size_t i = 10; i < 30; ++i) sim.serving_state[i] = s1;
+  QdTreeGenerator gen;
+  OreoOptions opts;
+  opts.dataset_sample_rows = 400;
+  opts.storage_backend = testutil::TestBackend();
+  opts.strategy = testutil::ScriptedSortFactory({0, 1}, 8, 3, {{10, 1}});
+  ShardedOreo engine(&t, &gen, 0, opts);
+  ASSERT_TRUE(engine.AttachPhysical(TempDir("live_scripted")).ok());
+  testutil::LiveLoopRun run =
+      testutil::RunLiveLoop(&engine, queries, /*batch_size=*/3);
+  EXPECT_EQ(engine.reorg_pool()->stats().completed, 1);
+  EXPECT_EQ(engine.core(0).registry().Get(engine.engine(0).materialized_state())
+                .name(),
+            "s1");
+  EXPECT_EQ(run.Summary(),
+            "partitions_read=127 rows_scanned=47642 matches=9058 "
+            "bytes_read=629344 total_cost=0x1.79a06d3a06d3ap+6 switches=1 "
+            "crcs=3a9400d7,9fb5768a,5f7e378e,5a28e272,bcb92e2a,5b1b7674,"
+            "2db909cd,29e553a1");
+}
 
-  auto result = ReplayPhysical(t, reg, sim, queries, /*stride=*/3,
-                               TempDir("replay"));
-  ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_EQ(result->num_switches, 1);
-  EXPECT_GT(result->reorg_seconds, 0.0);
-  EXPECT_EQ(result->queries_executed, 10u);
-  EXPECT_GT(result->query_seconds, 0.0);
+// Options for the baseline live-loop runs below.
+OreoOptions BaselineOpts() {
+  OreoOptions opts;
+  opts.alpha = 5.0;
+  opts.window_size = 50;
+  opts.generate_every = 50;
+  opts.max_states = 4;
+  opts.target_partitions = 8;
+  opts.dataset_sample_rows = 400;
+  opts.storage_backend = testutil::TestBackend();
+  return opts;
+}
+
+// Two workload phases (ts ranges, then qty ranges) so candidates change.
+std::vector<Query> BaselineStream() {
+  std::vector<Query> stream =
+      testutil::MakeRangeWorkload(0, 3000, 150, 150, 12, true);
+  std::vector<Query> qty = testutil::MakeRangeWorkload(1, 1000, 50, 150, 13);
+  stream.insert(stream.end(), qty.begin(), qty.end());
+  return stream;
+}
+
+// Static starts on its own layout, so the live loop materializes it once and
+// never rewrites.
+TEST(LiveLoopTest, StaticSubmitsNoRewrites) {
+  Table t = MakeTable(3000, 8);
+  QdTreeGenerator gen;
+  OreoOptions opts = BaselineOpts();
+  int static_state = -1;
+  opts.strategy = [&static_state](const Table& table, StateRegistry* reg,
+                                  const LayoutManager*, int, double) {
+    static_state = reg->Add(SortedInstance(table, 1, 8, "static"));
+    return std::make_unique<StaticStrategy>(static_state);
+  };
+  ShardedOreo engine(&t, &gen, 0, opts);
+  ASSERT_TRUE(engine.AttachPhysical(TempDir("live_static")).ok());
+  testutil::LiveLoopRun run =
+      testutil::RunLiveLoop(&engine, BaselineStream(), /*batch_size=*/16);
+  EXPECT_EQ(engine.num_switches(), 0);
+  EXPECT_EQ(engine.reorg_pool()->stats().completed, 0);
+  EXPECT_EQ(engine.engine(0).materialized_state(), static_state);
+
+  PhysicalStore fresh(TempDir("live_static_fresh"), 1,
+                      testutil::TestBackend());
+  ASSERT_TRUE(fresh
+                  .MaterializeLayout(
+                      t, engine.core(0).registry().Get(static_state))
+                  .ok());
+  ASSERT_EQ(run.crcs.size(), 1u);
+  EXPECT_EQ(run.crcs[0], testutil::PartitionCrcs(fresh));
+}
+
+// Greedy through the live loop decides exactly what the same engine decides
+// logically: physical execution never feeds back into decisions.
+TEST(LiveLoopTest, GreedyLiveLoopMatchesLogicalRunTrace) {
+  Table t = MakeTable(3000, 9);
+  QdTreeGenerator gen;
+  OreoOptions opts = BaselineOpts();
+  opts.strategy = [](const Table&, StateRegistry* reg,
+                     const LayoutManager* mgr, int def, double) {
+    return std::make_unique<GreedyStrategy>(reg, mgr, def);
+  };
+  std::vector<Query> stream = BaselineStream();
+  ShardedOreo logical(&t, &gen, 0, opts);
+  EngineSimResult sim = logical.RunTrace(stream);
+  ASSERT_GT(sim.num_switches, 0) << "fixture too tame";
+
+  ShardedOreo live(&t, &gen, 0, opts);
+  ASSERT_TRUE(live.AttachPhysical(TempDir("live_greedy")).ok());
+  testutil::RunLiveLoop(&live, stream, /*batch_size=*/16);
+  EXPECT_EQ(live.total_cost(), sim.total_cost());
+  EXPECT_EQ(live.num_switches(), sim.num_switches);
+  EXPECT_GT(live.reorg_pool()->stats().completed, 0);
 }
 
 // A rewrite of `store` into `target` under shard id 0: the one-store use of

@@ -1,13 +1,14 @@
 // The remote-tier equivalence wall. The engine's determinism contract —
-// bit-identical costs, switch decisions, decision traces, replay counters
-// and partition CRCs for a fixed seed — must survive the storage moving to
-// a slow, failure-prone remote tier, with and without the cross-shard
-// SharedBlockCache (async prefetch on) in front of it:
+// bit-identical costs, switch decisions, per-query decisions, live-loop scan
+// counters and partition CRCs for a fixed seed — must survive the storage
+// moving to a slow, failure-prone remote tier, with and without the
+// cross-shard SharedBlockCache (async prefetch on) in front of it:
 //
 //   remote(inmem) × {shared cache off, on} × {faults off, on}
 //                 × threads {1, 8} × shards {1, 4}
 //
-// all equal the plain in-memory baseline. Injected transient faults are
+// all equal the plain in-memory baseline, which is pinned to the same golden
+// values as tests/backend_equivalence_test.cc. Injected transient faults are
 // absorbed by the retry policy without touching any observable output, and
 // the fault/retry accounting itself is run-invariant (the schedule is a
 // pure function of the seed, not of thread timing).
@@ -18,8 +19,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <tuple>
-#include <utility>
 #include <vector>
 
 #include "core/engine.h"
@@ -36,6 +35,7 @@ namespace {
 
 constexpr uint64_t kSeed = 17;
 constexpr size_t kRows = 3000;
+constexpr size_t kBatchSize = 16;
 
 OreoOptions BaseOpts(size_t num_threads, size_t num_shards,
                      std::shared_ptr<StorageBackend> backend) {
@@ -84,36 +84,33 @@ std::shared_ptr<RemoteBackend> MakeFaultyRemote(bool faults) {
   return MakeRemoteBackend(MakeInMemoryBackend(), ro);
 }
 
-// Everything a combo produces that must not depend on the storage tier,
-// the cache, injected faults, or the pool size.
-struct ComboFingerprint {
-  std::vector<std::vector<int>> serving_states;
-  std::vector<std::vector<std::tuple<int64_t, int, int>>> switch_events;
-  double query_cost = 0.0;
-  double reorg_cost = 0.0;
-  int64_t num_switches = 0;
-  int64_t replay_switches = 0;
-  uint64_t queries_executed = 0;
-  uint64_t partitions_read = 0;
-  uint64_t matches = 0;
-  std::vector<std::pair<std::string, uint32_t>> crcs;  // dir-relative
-
-  bool operator==(const ComboFingerprint& o) const {
-    return serving_states == o.serving_states &&
-           switch_events == o.switch_events && query_cost == o.query_cost &&
-           reorg_cost == o.reorg_cost && num_switches == o.num_switches &&
-           replay_switches == o.replay_switches &&
-           queries_executed == o.queries_executed &&
-           partitions_read == o.partitions_read && matches == o.matches &&
-           crcs == o.crcs;
+// The live loop's golden fingerprint at each shard count (batches of
+// kBatchSize, drained after every batch): counters, accounting and final
+// partition CRCs. Every backend, tier and thread count must reproduce it.
+const char* GoldenSummary(size_t shards) {
+  if (shards == 1) {
+    return "partitions_read=1344 rows_scanned=505013 matches=45695 "
+           "bytes_read=6671179 total_cost=0x1.ebd4d242e6bd8p+7 switches=1 "
+           "crcs=08b465c0,e15f66cf,06e48d52,4588ebd1,353ac908,17739053,"
+           "b2075097,7e0b11ce";
   }
-};
+  return "partitions_read=5186 rows_scanned=486100 matches=45695 "
+         "bytes_read=6728838 total_cost=0x1.e23a5e353f7cfp+7 switches=4 "
+         "crcs=1bd68db3,4d6fa992,198b48ab,f7b95fd2,a38a0c71,ffc497d5,"
+         "3d6b8c63,d678af5e|65d4b272,a6182fdd,b927b747,3bf82355,883083b8,"
+         "d1e085a6,b2d7e08d,948ac718|621562a9,60d7abe1,04c4a76e,95bd827a,"
+         "cc9c666b,1c86b6e8,326c94fb,521a38fb|a4f79694,6ca7857b,1923d0b3,"
+         "f237a64f,8433810b,b39109c6,c277c488,179a5d98";
+}
 
-ComboFingerprint RunCombo(const Table& t, const LayoutGenerator& gen,
-                          const std::vector<Query>& stream,
-                          const RemoteConfig& cfg, size_t threads,
-                          size_t shards, const std::string& tag,
-                          RemoteBackendStats* out_remote_stats = nullptr) {
+// Runs the stream through one combo's live loop. Nothing it returns may
+// depend on the storage tier, the cache, injected faults, or the pool size.
+testutil::LiveLoopRun RunCombo(const Table& t, const LayoutGenerator& gen,
+                               const std::vector<Query>& stream,
+                               const RemoteConfig& cfg, size_t threads,
+                               size_t shards, const std::string& tag,
+                               RemoteBackendStats* out_remote_stats =
+                                   nullptr) {
   std::shared_ptr<RemoteBackend> remote;
   std::shared_ptr<StorageBackend> backend;
   if (cfg.remote) {
@@ -131,33 +128,12 @@ ComboFingerprint RunCombo(const Table& t, const LayoutGenerator& gen,
   std::unique_ptr<OreoEngine> engine =
       MakeEngine(&t, &gen, /*time_column=*/0, opts);
   EXPECT_EQ(engine->num_shards(), shards);
-
-  ComboFingerprint fp;
-  EngineSimResult sim = engine->RunTrace(stream, /*record_trace=*/true);
-  EXPECT_EQ(sim.shards.size(), shards);
-  for (const SimResult& shard : sim.shards) {
-    fp.serving_states.push_back(shard.serving_state);
-    fp.switch_events.push_back(shard.switch_events);
-  }
-  fp.query_cost = sim.query_cost;
-  fp.reorg_cost = sim.reorg_cost;
-  fp.num_switches = sim.num_switches;
-
   const std::string dir = testutil::ScratchDir("remote_eq_" + tag);
-  auto replay = engine->ReplayTrace(sim, /*stride=*/3, dir, threads,
-                                    /*batch_size=*/4);
-  EXPECT_TRUE(replay.ok()) << replay.status().ToString();
-  if (replay.ok()) {
-    fp.replay_switches = replay->num_switches;
-    fp.queries_executed = replay->queries_executed;
-    fp.partitions_read = replay->partitions_read;
-    fp.matches = replay->matches;
-  }
-  // CRCs read back through the remote tier itself: retries must also absorb
-  // faults on this verification path.
-  for (auto& [path, crc] : testutil::DirCrcs(*opts.storage_backend, dir)) {
-    fp.crcs.emplace_back(path.substr(dir.size()), crc);
-  }
+  EXPECT_TRUE(engine->AttachPhysical(dir, threads).ok());
+  // CRCs are read back through the remote tier itself: retries must also
+  // absorb faults on this verification path.
+  testutil::LiveLoopRun fp =
+      testutil::RunLiveLoop(engine.get(), stream, kBatchSize);
   if (out_remote_stats != nullptr && remote != nullptr) {
     *out_remote_stats = remote->remote_stats();
   }
@@ -175,11 +151,10 @@ TEST(RemoteEquivalenceTest, RemoteTierIsBitIdenticalToLocalUnderFaults) {
   std::vector<Query> stream = TwoPhaseStream();
 
   for (size_t shards : {size_t{1}, size_t{4}}) {
-    ComboFingerprint baseline =
+    testutil::LiveLoopRun baseline =
         RunCombo(t, gen, stream, RemoteConfig{}, /*threads=*/1, shards,
                  "base_s" + std::to_string(shards));
-    ASSERT_FALSE(baseline.crcs.empty());
-    ASSERT_GT(baseline.num_switches, 0) << "fixture too tame";
+    EXPECT_EQ(baseline.Summary(), GoldenSummary(shards));
 
     for (bool shared_cache : {false, true}) {
       for (bool faults : {false, true}) {
@@ -193,8 +168,8 @@ TEST(RemoteEquivalenceTest, RemoteTierIsBitIdenticalToLocalUnderFaults) {
               (faults ? "1" : "0") + "_t" + std::to_string(threads) + "_s" +
               std::to_string(shards);
           RemoteBackendStats remote_stats;
-          ComboFingerprint combo = RunCombo(t, gen, stream, cfg, threads,
-                                            shards, tag, &remote_stats);
+          testutil::LiveLoopRun combo = RunCombo(
+              t, gen, stream, cfg, threads, shards, tag, &remote_stats);
           EXPECT_TRUE(combo == baseline)
               << "fingerprint diverged from the local baseline: " << tag;
           if (faults) {
@@ -211,9 +186,9 @@ TEST(RemoteEquivalenceTest, RemoteTierIsBitIdenticalToLocalUnderFaults) {
   }
 }
 
-// The fault/retry accounting itself is deterministic on the synchronous
-// replay path: same seed, same config => the same number of injected
-// faults, retries and backoff microseconds, run after run.
+// The fault/retry accounting itself is deterministic on the drained live
+// loop: same seed, same config => the same number of injected faults,
+// retries and backoff microseconds, run after run.
 TEST(RemoteEquivalenceTest, FaultAccountingIsRunInvariant) {
   QdTreeGenerator gen;
   Table t = testutil::MakeEventTable(kRows, kSeed);
@@ -223,13 +198,13 @@ TEST(RemoteEquivalenceTest, FaultAccountingIsRunInvariant) {
   cfg.remote = true;
   cfg.faults = true;
   // Same tag on purpose: the fault schedule is keyed on (seed, op, path)
-  // and the replay paths embed the directory, so run invariance is defined
+  // and the store paths embed the directory, so run invariance is defined
   // over identical directories (fresh backends each run).
   RemoteBackendStats first, second;
-  ComboFingerprint fp_a = RunCombo(t, gen, stream, cfg, /*threads=*/1,
-                                   /*shards=*/1, "acct", &first);
-  ComboFingerprint fp_b = RunCombo(t, gen, stream, cfg, /*threads=*/1,
-                                   /*shards=*/1, "acct", &second);
+  testutil::LiveLoopRun fp_a = RunCombo(t, gen, stream, cfg, /*threads=*/1,
+                                        /*shards=*/1, "acct", &first);
+  testutil::LiveLoopRun fp_b = RunCombo(t, gen, stream, cfg, /*threads=*/1,
+                                        /*shards=*/1, "acct", &second);
   EXPECT_TRUE(fp_a == fp_b);
   EXPECT_GT(first.injected_faults, 0u);
   EXPECT_EQ(first.ops, second.ops);

@@ -2,10 +2,11 @@
 // Pinned contracts:
 //
 //   1. A 1-shard ShardedOreo is bit-identical to a bare Oreo: per-query
-//      serving states, costs, switch decisions, run traces, and the
-//      partition files a physical replay leaves behind (CRCs).
+//      serving states, costs, switch decisions and run traces; its live
+//      loop serves the bare Oreo's trace and leaves pinned partition files.
 //   2. N-shard runs are bit-identical across thread counts {1, 8} — logical
-//      fingerprints and per-shard replayed partition-file CRCs.
+//      fingerprints, and the live loop's counters and per-shard partition
+//      CRCs (pinned).
 //   3. The router never drops a matching row: for random tables and random
 //      conjunctive queries of every operator shape, the matches found on
 //      the routed shards equal the matches on the whole table (property
@@ -41,19 +42,6 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr size_t kThreadCounts[] = {1, 8};
-
-// CRCs of every object under `dir`, in path order, read through the
-// backend (paths stripped so different scratch dirs fingerprint alike).
-// The wall runs on the in-memory backend by default; OREO_TEST_BACKEND=posix
-// pins the file path.
-std::vector<uint32_t> DirCrcs(StorageBackend& backend,
-                              const std::string& dir) {
-  std::vector<uint32_t> crcs;
-  for (const auto& [path, crc] : testutil::DirCrcs(backend, dir)) {
-    crcs.push_back(crc);
-  }
-  return crcs;
-}
 
 OreoOptions ShardedOpts(uint64_t seed, size_t num_threads, size_t num_shards,
                         ShardRouting routing = ShardRouting::kRange) {
@@ -185,6 +173,9 @@ TEST(ShardedEquivalenceTest, OneShardMatchesLegacyOreoStepByStep) {
 // ----------------------------- 1-shard == legacy replay (physical) -------
 
 TEST(ShardedEquivalenceTest, OneShardReplayLeavesIdenticalPartitionFiles) {
+  // The 1-shard engine's live loop (drained after every batch) serves the
+  // bare Oreo's decision trace query for query and leaves pinned partition
+  // files.
   const uint64_t seed = 9;
   const size_t kRows = 2000;
   QdTreeGenerator gen;
@@ -192,37 +183,24 @@ TEST(ShardedEquivalenceTest, OneShardReplayLeavesIdenticalPartitionFiles) {
   std::vector<Query> stream = TwoPhaseStream(kRows, seed);
   OreoOptions opts = ShardedOpts(seed, /*num_threads=*/2, /*num_shards=*/1);
 
-  std::shared_ptr<StorageBackend> backend = testutil::TestBackend("inmem");
   Oreo legacy(&t, &gen, 0, opts);
   SimResult legacy_sim = legacy.Run(stream, /*record_trace=*/true);
   ASSERT_GT(legacy_sim.num_switches, 0);
-  std::string legacy_dir = testutil::ScratchDir("sharded_eq_legacy");
-  auto legacy_replay =
-      ReplayPhysical(t, legacy.registry(), legacy_sim, stream, /*stride=*/3,
-                     legacy_dir, /*num_threads=*/2, /*batch_size=*/4, backend);
-  ASSERT_TRUE(legacy_replay.ok()) << legacy_replay.status().ToString();
 
-  OreoOptions engine_opts = opts;
-  engine_opts.storage_backend = backend;
-  std::unique_ptr<OreoEngine> sharded = MakeEngine(&t, &gen, 0, engine_opts);
-  EngineSimResult sharded_sim =
-      sharded->RunTrace(stream, /*record_trace=*/true);
-  std::string sharded_dir = testutil::ScratchDir("sharded_eq_one");
-  auto sharded_replay =
-      sharded->ReplayTrace(sharded_sim, /*stride=*/3, sharded_dir,
-                           /*num_threads=*/2, /*batch_size=*/4);
-  ASSERT_TRUE(sharded_replay.ok()) << sharded_replay.status().ToString();
-
-  EXPECT_EQ(legacy_replay->num_switches, sharded_replay->num_switches);
-  EXPECT_EQ(legacy_replay->queries_executed, sharded_replay->queries_executed);
-  EXPECT_EQ(legacy_replay->partitions_read, sharded_replay->partitions_read);
-  EXPECT_EQ(legacy_replay->matches, sharded_replay->matches);
-  std::vector<uint32_t> legacy_crcs = DirCrcs(*backend, legacy_dir);
-  ASSERT_FALSE(legacy_crcs.empty());
-  EXPECT_EQ(legacy_crcs, DirCrcs(*backend, ShardDirName(sharded_dir, 0)))
-      << "1-shard replay must leave bit-identical partition files";
-  fs::remove_all(legacy_dir);
-  fs::remove_all(sharded_dir);
+  opts.storage_backend = testutil::TestBackend("inmem");
+  std::unique_ptr<OreoEngine> sharded = MakeEngine(&t, &gen, 0, opts);
+  std::string dir = testutil::ScratchDir("sharded_eq_one");
+  ASSERT_TRUE(sharded->AttachPhysical(dir, /*store_threads=*/2).ok());
+  testutil::LiveLoopRun run = testutil::RunLiveLoop(sharded.get(), stream, 16);
+  EXPECT_EQ(run.states, legacy_sim.serving_state);
+  EXPECT_EQ(run.total_cost, legacy_sim.total_cost());
+  EXPECT_EQ(run.num_switches, legacy_sim.num_switches);
+  EXPECT_EQ(run.Summary(),
+            "partitions_read=1369 rows_scanned=343013 matches=37937 "
+            "bytes_read=4567149 total_cost=0x1.ed3ae147ae14bp+7 switches=1 "
+            "crcs=138bd979,8ae6166e,85cd186a,807d757a,4e87eda8,0db9971c,"
+            "ff2114cc,9399e6cc");
+  fs::remove_all(dir);
 }
 
 // ----------------------------- N shards: thread-count invariance ---------
@@ -258,31 +236,25 @@ TEST(ShardedEquivalenceTest, NShardRunsAreThreadCountInvariant) {
     }
   }
 
-  // Physical replay: per-shard partition files are bit-identical across
-  // thread counts.
-  std::shared_ptr<StorageBackend> backend = testutil::TestBackend("inmem");
-  std::vector<std::vector<uint32_t>> baseline_crcs;
+  // Live loop: counters and per-shard partition files are identical across
+  // thread counts and pinned.
   for (size_t threads : kThreadCounts) {
     OreoOptions opts = ShardedOpts(seed, threads, /*num_shards=*/4);
-    opts.storage_backend = backend;
+    opts.storage_backend = testutil::TestBackend("inmem");
     ShardedOreo sharded(&t, &gen, 0, opts);
-    ShardedSimResult sim = sharded.Run(stream, /*record_trace=*/true);
     std::string dir = testutil::ScratchDir("sharded_eq_threads_" +
                                            std::to_string(threads));
-    auto replay = sharded.ReplayTrace(sim, /*stride=*/3, dir, threads,
-                                      /*batch_size=*/4);
-    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
-    std::vector<std::vector<uint32_t>> crcs;
-    for (uint32_t s = 0; s < 4; ++s) {
-      crcs.push_back(DirCrcs(*backend, ShardDirName(dir, s)));
-      ASSERT_FALSE(crcs.back().empty());
-    }
-    if (baseline_crcs.empty()) {
-      baseline_crcs = std::move(crcs);
-    } else {
-      EXPECT_EQ(baseline_crcs, crcs)
-          << "partition files diverged at threads=" << threads;
-    }
+    ASSERT_TRUE(sharded.AttachPhysical(dir, threads).ok());
+    EXPECT_EQ(testutil::RunLiveLoop(&sharded, stream, 16).Summary(),
+              "partitions_read=5193 rows_scanned=486788 matches=45387 "
+              "bytes_read=6738336 total_cost=0x1.6bddddddddddep+7 switches=1 "
+              "crcs=53e2b9c7,ccfd8ef8,e125a840,6b32b7d9,cf7a3bd2,7d975d75,"
+              "fd40a48f,a3b9a23a|35a6cfc2,9756a195,4b30fcc5,74871edd,"
+              "65be0b6b,b25d6777,02a41279,73f157d1|b42733ff,6aaf167f,"
+              "46f8955a,f2eb41b1,0e0905ff,ed960506,ff3ebfb3,a1326b8c|"
+              "a808e518,80c1f58d,1b4e34cf,fde38563,d52e2636,4b1bd75a,"
+              "708a1322,ae37af37")
+        << "threads=" << threads;
     fs::remove_all(dir);
   }
 }
@@ -544,31 +516,31 @@ TEST(ShardedEquivalenceTest, EveryShardStaysWithinPaperBoundOfItsOptimum) {
   // shard).
   const size_t n = sharded.num_shards();
   std::vector<std::vector<std::vector<int>>> live_at(n);
-  std::vector<std::vector<Query>> shard_streams(n);
+  std::vector<std::vector<Query>> sub_streams(n);
   for (const Query& q : stream) {
     ShardedOreo::ShardedStepResult step = sharded.StepSharded(q);
     for (const ShardedOreo::ShardStep& ss : step.shard_steps) {
       live_at[ss.shard].push_back(
           sharded.engine(ss.shard).oreo().registry().live());
-      shard_streams[ss.shard].push_back(q);
+      sub_streams[ss.shard].push_back(q);
     }
   }
 
   for (size_t s = 0; s < n; ++s) {
     const Oreo& engine = sharded.engine(s).oreo();
-    ASSERT_FALSE(shard_streams[s].empty());
+    ASSERT_FALSE(sub_streams[s].empty());
     const double alg_cost =
         engine.total_query_cost() + engine.total_reorg_cost();
     const size_t num_states = engine.registry().num_total();
     size_t max_live = 1;
     std::vector<std::vector<double>> costs(
-        shard_streams[s].size(), std::vector<double>(num_states, 0.0));
+        sub_streams[s].size(), std::vector<double>(num_states, 0.0));
     std::vector<std::vector<bool>> avail(
-        shard_streams[s].size(), std::vector<bool>(num_states, false));
-    for (size_t qi = 0; qi < shard_streams[s].size(); ++qi) {
+        sub_streams[s].size(), std::vector<bool>(num_states, false));
+    for (size_t qi = 0; qi < sub_streams[s].size(); ++qi) {
       for (size_t st = 0; st < num_states; ++st) {
         costs[qi][st] =
-            engine.registry().Cost(static_cast<int>(st), shard_streams[s][qi]);
+            engine.registry().Cost(static_cast<int>(st), sub_streams[s][qi]);
       }
       for (int st : live_at[s][qi]) avail[qi][static_cast<size_t>(st)] = true;
       max_live = std::max(max_live, live_at[s][qi].size());

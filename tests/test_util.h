@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
@@ -16,7 +17,9 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "core/engine.h"
 #include "core/physical.h"
+#include "core/strategy.h"
 #include "layout/layout.h"
 #include "layout/sorted_layout.h"
 #include "query/query.h"
@@ -219,8 +222,132 @@ inline std::vector<uint32_t> PartitionCrcs(const core::PhysicalStore& store) {
   return crcs;
 }
 
-// CRCs of every object under `dir`, in sorted path order — the fingerprint
-// of a replay's final materialized layout.
+// What a drained live-loop run produces (see RunLiveLoop): per-query steps,
+// scan counters summed over the stream, the engine's accounting, and each
+// shard's final partition CRCs in partition order.
+struct LiveLoopRun {
+  std::vector<int> states;     // serving layout per query (-1: several shards)
+  std::vector<double> costs;   // row-weighted cost per query
+  uint64_t partitions_read = 0;
+  uint64_t rows_scanned = 0;
+  uint64_t matches = 0;
+  uint64_t bytes_read = 0;
+  double total_cost = 0.0;
+  int64_t num_switches = 0;
+  std::vector<std::vector<uint32_t>> crcs;  // per shard
+
+  bool operator==(const LiveLoopRun& o) const {
+    return states == o.states && costs == o.costs && Summary() == o.Summary();
+  }
+
+  // Counters, accounting and CRCs on one line: the form goldens pin.
+  std::string Summary() const {
+    char buf[96];
+    std::snprintf(buf, sizeof(buf), " total_cost=%a switches=%lld crcs=",
+                  total_cost, static_cast<long long>(num_switches));
+    std::string out = "partitions_read=" + std::to_string(partitions_read) +
+                      " rows_scanned=" + std::to_string(rows_scanned) +
+                      " matches=" + std::to_string(matches) +
+                      " bytes_read=" + std::to_string(bytes_read) + buf;
+    for (size_t s = 0; s < crcs.size(); ++s) {
+      if (s > 0) out += "|";
+      for (size_t p = 0; p < crcs[s].size(); ++p) {
+        std::snprintf(buf, sizeof(buf), "%s%08x", p > 0 ? "," : "",
+                      crcs[s][p]);
+        out += buf;
+      }
+    }
+    return out;
+  }
+};
+
+// Drives an attached engine through the live loop: per batch, RunBatch, then
+// ExecuteBatchPhysical against the pinned snapshots, then WaitForReorgs. So
+// every rewrite is adopted at a batch boundary the stream alone fixes, and
+// the run is deterministic. `per_query_matches` (optional) receives every
+// query's match count in stream order.
+inline LiveLoopRun RunLiveLoop(core::OreoEngine* engine,
+                               const std::vector<Query>& stream,
+                               size_t batch_size,
+                               std::vector<uint64_t>* per_query_matches =
+                                   nullptr) {
+  LiveLoopRun run;
+  for (const QueryBatch& batch : MakeBatches(stream, batch_size)) {
+    for (const core::OreoEngine::StepResult& step :
+         engine->RunBatch(batch).steps) {
+      run.states.push_back(step.state);
+      run.costs.push_back(step.query_cost);
+    }
+    Result<core::PhysicalStore::BatchExec> exec =
+        engine->ExecuteBatchPhysical(batch.queries);
+    EXPECT_TRUE(exec.ok()) << exec.status().ToString();
+    if (!exec.ok()) return run;
+    for (const core::PhysicalStore::QueryExec& q : exec->per_query) {
+      run.partitions_read += q.partitions_read;
+      run.rows_scanned += q.rows_scanned;
+      run.matches += q.matches;
+      run.bytes_read += q.bytes_read;
+      if (per_query_matches != nullptr) per_query_matches->push_back(q.matches);
+    }
+    engine->WaitForReorgs();
+  }
+  run.total_cost = engine->total_cost();
+  run.num_switches = engine->num_switches();
+  for (size_t s = 0; s < engine->num_shards(); ++s) {
+    run.crcs.push_back(PartitionCrcs(*engine->store(s)));
+  }
+  return run;
+}
+
+// A strategy over a fixed, hand-built state space that switches at scripted
+// query ids: it drives the engine through an exact decision trace.
+class ScriptedStrategy : public core::Strategy {
+ public:
+  // Starts on `initial`; moves to `to` at the query whose id is `at`.
+  ScriptedStrategy(std::vector<std::pair<int64_t, int>> switches, int initial)
+      : switches_(std::move(switches)), current_(initial) {}
+  std::string name() const override { return "scripted"; }
+  int OnQuery(const Query& q, bool* switched) override {
+    *switched = false;
+    for (const auto& [at, to] : switches_) {
+      if (at == q.id) {
+        current_ = to;
+        *switched = true;
+      }
+    }
+    return current_;
+  }
+  int current_state() const override { return current_; }
+  bool fixed_state_space() const override { return true; }
+
+ private:
+  std::vector<std::pair<int64_t, int>> switches_;
+  int current_;
+};
+
+// OreoOptions::strategy for a scripted run over single-column sort layouts:
+// registers one layout per entry of `columns` over the shard's table (named
+// "s0", "s1", ...; k partitions, sampled with `sample_seed`), starts on the
+// first, and moves to layout `to` at query id `at` for every (at, to) in
+// `switches`.
+inline core::StrategyFactory ScriptedSortFactory(
+    std::vector<int> columns, uint32_t k, uint64_t sample_seed,
+    std::vector<std::pair<int64_t, size_t>> switches) {
+  return [=](const Table& table, core::StateRegistry* registry,
+             const core::LayoutManager*, int,
+             double) -> std::unique_ptr<core::Strategy> {
+    std::vector<int> ids;
+    for (size_t i = 0; i < columns.size(); ++i) {
+      ids.push_back(registry->Add(MakeSortedInstance(
+          table, columns[i], k, "s" + std::to_string(i), sample_seed)));
+    }
+    std::vector<std::pair<int64_t, int>> script;
+    for (const auto& [at, to] : switches) script.emplace_back(at, ids[to]);
+    return std::make_unique<ScriptedStrategy>(std::move(script), ids.front());
+  };
+}
+
+// CRCs of every object under `dir`, in sorted path order.
 inline std::vector<std::pair<std::string, uint32_t>> DirCrcs(
     StorageBackend& backend, const std::string& dir) {
   std::vector<std::pair<std::string, uint32_t>> crcs;
